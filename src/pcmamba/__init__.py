@@ -21,8 +21,6 @@ from .sample import (
     farthest_point_sample,
     interpolate_features,
     knn,
-    random_sample,
-    voxel_grid_sample,
 )
 from .local import GAMParams, MLPStack, ResidualMLP, gam_normalize, gam_sigma, local_aggregate
 from .ssm import (

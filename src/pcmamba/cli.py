@@ -7,7 +7,8 @@ suites), ``bench`` (linear-complexity scaling measurement), ``inspect``
 
 Reports are plain ``key=value`` lines, sections separated by blank lines;
 tabular output is CSV with a header row. Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 I/O or format error.
+verification failure, 2 usage error, 3 I/O, format or numeric-range error
+(input or weights that overflow a computation).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     ConfigurationError,
     FormatError,
     InvalidInputError,
+    NumericRangeError,
     ParseError,
 )
 from .io import generate_shape, load_weights, read_xyz
@@ -100,15 +102,16 @@ def cmd_serialize(args) -> int:
         f"mode={args.mode}",
         f"window={args.window}",
     ]
-    rows = []
-    perm_for_csv = None
+    orders = []
     for name in names:
         try:
-            order = order_from_name(name, mode=mode)
+            orders.append(order_from_name(name, mode=mode))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        perm = ser.serialize(normalized, order, grid_n=args.grid)
-        metrics = locality_metrics(normalized.cloud, perm, window=args.window)
+    perms = [ser.serialize(normalized, order, grid_n=args.grid) for order in orders]
+    all_metrics = locality_metrics(normalized.cloud, perms, window=args.window)
+    rows = []
+    for name, order, metrics in zip(names, orders, all_metrics):
         collisions = ser.count_code_collisions(normalized, order, args.grid)
         lines.append("")
         lines.append(f"order={name}")
@@ -116,8 +119,6 @@ def cmd_serialize(args) -> int:
         lines.append(f"adjacency_rate={_fmt(metrics['adjacency_rate'])}")
         lines.append(f"collision_count={collisions}")
         rows.append((name, _fmt(metrics["mean_gap"]), _fmt(metrics["adjacency_rate"]), collisions))
-        if not args.compare_all:
-            perm_for_csv = perm
     _emit(lines)
     if args.out:
         if args.compare_all:
@@ -126,7 +127,7 @@ def cmd_serialize(args) -> int:
             _write_csv(
                 args.out,
                 ("position", "point_index"),
-                list(enumerate(perm_for_csv.tolist())),
+                list(enumerate(perms[0].tolist())),
             )
     return EXIT_OK
 
@@ -514,7 +515,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FormatError, InvalidInputError, FileNotFoundError, OSError) as exc:
+    except (
+        ParseError,
+        FormatError,
+        InvalidInputError,
+        NumericRangeError,
+        FileNotFoundError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ConfigurationError) as exc:

@@ -1,9 +1,8 @@
 """Downsampling and neighborhood construction.
 
 Everything here is deterministic: farthest-point sampling starts from the
-lexicographically smallest point by default, k-nearest-neighbor ties are
-broken by lexicographic coordinates then input index, and the seeded random
-sampler uses an explicit PCG64 stream.
+lexicographically smallest point by default, and k-nearest-neighbor ties
+are broken by lexicographic coordinates then input index.
 """
 
 from __future__ import annotations
@@ -16,6 +15,9 @@ from .errors import InvalidInputError
 from .pointset import PointCloud, canonical_tiebreak_order
 
 DETERMINISTIC_MIN = "deterministic_min"
+
+# Distance entries per kNN block (rows x base points).
+_BLOCK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,11 @@ def farthest_point_sample(cloud, m: int, start=DETERMINISTIC_MIN) -> np.ndarray:
 
     ``start=deterministic_min`` seeds the greedy pass at the lexicographically
     smallest point, which makes the selection a pure function of geometry;
-    an integer seeds it at that index. Ties in the max-min distance keep the
-    earliest index.
+    an integer seeds it at that index. Each pass picks the point farthest
+    from the selected set (``argmax`` of the running min squared distance,
+    so ties keep the earliest index), then lowers the running minimum by its
+    squared distances. Those are accumulated as dx*dx + dy*dy + dz*dz over
+    three contiguous coordinate vectors into preallocated buffers.
     """
     coords = _coords_of(cloud)
     n = len(coords)
@@ -59,84 +64,94 @@ def farthest_point_sample(cloud, m: int, start=DETERMINISTIC_MIN) -> np.ndarray:
         first = int(start)
         if not 0 <= first < n:
             raise ValueError(f"start index {first} out of range")
+    x, y, z = (np.ascontiguousarray(coords[:, j]) for j in range(3))
+    d2, cand, sq = np.empty(n), np.empty(n), np.empty(n)
+
+    def sq_dists_from(i, out):
+        np.subtract(x, x[i], out=out)
+        np.multiply(out, out, out=out)
+        np.subtract(y, y[i], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add(out, sq, out=out)
+        np.subtract(z, z[i], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add(out, sq, out=out)
+
     selected = np.empty(m, dtype=np.int64)
     selected[0] = first
-    d2 = ((coords - coords[first]) ** 2).sum(axis=1)
+    sq_dists_from(first, d2)
     for i in range(1, m):
-        nxt = int(np.argmax(d2))
+        nxt = int(d2.argmax())
         selected[i] = nxt
-        np.minimum(d2, ((coords - coords[nxt]) ** 2).sum(axis=1), out=d2)
+        sq_dists_from(nxt, cand)
+        np.minimum(d2, cand, out=d2)
     return selected
 
 
-def random_sample(cloud, m: int, seed: int) -> np.ndarray:
-    """Seeded uniform sample of m indices without replacement (PCG64)."""
-    coords = _coords_of(cloud)
-    n = len(coords)
-    if not 1 <= m <= n:
-        raise ValueError(f"m must lie in [1, {n}], got {m}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.choice(n, size=m, replace=False).astype(np.int64)
+def _k_smallest(d2: np.ndarray, k: int, spare: np.ndarray) -> np.ndarray:
+    """Columns of the k smallest entries per row, ordered by (value, column).
 
-
-def _chunked_sq_dists(query: np.ndarray, base: np.ndarray, row_handler, chunk_rows=None):
-    """Apply row_handler(start, d2_block) over exact squared distances."""
-    n = len(base)
-    if chunk_rows is None:
-        chunk_rows = max(1, int(4_000_000 // max(n, 1)))
-    for s in range(0, len(query), chunk_rows):
-        block = query[s : s + chunk_rows]
-        d2 = ((block[:, None, :] - base[None, :, :]) ** 2).sum(axis=2)
-        row_handler(s, d2)
+    A partial sort of a copy (``ndarray.partition`` in ``spare``) finds
+    each row's k-th smallest value; the candidates are the columns at or
+    below it. A row with exactly k candidates keeps them all. Only when some
+    row has more, because several columns tie at the k-th value, are the
+    candidates ordered by (value, column) so that those rows keep every
+    strictly smaller column and then the lowest tied columns.
+    """
+    rows, n = d2.shape
+    np.copyto(spare, d2)
+    spare.partition(k - 1, axis=1)
+    flat = np.flatnonzero(d2 <= spare[:, k - 1 : k])
+    r, cand = np.divmod(flat, n)
+    counts = np.bincount(r, minlength=rows)
+    if (counts > k).any():
+        # flatnonzero lists columns ascending within a row and lexsort is
+        # stable, so this orders candidates by (row, value, column)
+        cand = cand[np.lexsort((d2.ravel()[flat], r))]
+    cols = cand[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def knn(query_coords, base_coords, k: int) -> NeighborhoodIndex:
     """Exact k nearest base points per query point.
 
-    Distances are computed from explicit coordinate differences (no expanded
-    quadratic form), so equal distances are exactly equal and the tie rule
-    is meaningful: lexicographically smaller base coordinates win, then the
-    smaller base index.
+    Squared distances are accumulated from explicit coordinate differences
+    as dx*dx + dy*dy + dz*dz (no expanded quadratic form), so equal
+    distances are exactly equal and the tie rule is meaningful: the nearer
+    base point wins, then the lexicographically smaller base coordinates,
+    then the smaller base index. Base points are pre-sorted into that
+    canonical order, and each row keeps its k smallest distances by partial
+    selection (``ndarray.partition`` finds the k-th distance) with exact
+    tie resolution at that distance, never a full sort. Query rows are
+    processed in blocks of at most ~4M distances.
     """
     query = _coords_of(query_coords)
     base = _coords_of(base_coords)
     n = len(base)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    # Pre-sort base points canonically; a stable argsort on distances then
-    # resolves ties in canonical order automatically.
+    if not np.isfinite(query).all():
+        raise InvalidInputError("query coords contain NaN or Inf")
+    # Column j of a distance row is the base point of canonical rank j, so
+    # among equal distances the smaller column wins.
     base_rank = canonical_tiebreak_order(base)
-    base_sorted = base[base_rank]
+    base_cols = [np.ascontiguousarray(base[base_rank, j]) for j in range(3)]
+    block_rows = max(1, min(len(query), _BLOCK_ENTRIES // n))
+    d2_buf = np.empty((block_rows, n))
+    sq_buf = np.empty((block_rows, n))
     neighbors = np.empty((len(query), k), dtype=np.int64)
-
-    def handle(start, d2):
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        neighbors[start : start + len(order)] = base_rank[order]
-
-    _chunked_sq_dists(query, base_sorted, handle)
+    for s in range(0, len(query), block_rows):
+        block = query[s : s + block_rows]
+        d2, sq = d2_buf[: len(block)], sq_buf[: len(block)]
+        for j, col in enumerate(base_cols):
+            diff = sq if j else d2
+            np.subtract(block[:, j, None], col, out=diff)
+            np.multiply(diff, diff, out=diff)
+            if j:
+                d2 += sq
+        neighbors[s : s + len(block)] = base_rank[_k_smallest(d2, k, sq)]
     return NeighborhoodIndex(centers=np.arange(len(query)), neighbors=neighbors, k=k)
-
-
-def voxel_grid_sample(cloud: PointCloud, cell_size: float) -> PointCloud:
-    """One representative point per occupied voxel of edge ``cell_size``.
-
-    The representative is the member closest to the centroid of the points
-    in that voxel (ties canonical); output order follows the lexicographic
-    voxel index.
-    """
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
-    coords = cloud.coords
-    vox = np.floor(coords / cell_size).astype(np.int64)
-    _, inverse = np.unique(vox, axis=0, return_inverse=True)
-    reps = []
-    for group in range(inverse.max() + 1):
-        members = np.flatnonzero(inverse == group)
-        pts = coords[members]
-        d2 = ((pts - pts.mean(axis=0)) ** 2).sum(axis=1)
-        pick = np.lexsort((members, pts[:, 2], pts[:, 1], pts[:, 0], d2))[0]
-        reps.append(members[pick])
-    return cloud.select(np.asarray(reps, dtype=np.int64))
 
 
 def interpolate_features(

@@ -284,24 +284,21 @@ def count_code_collisions(
     the row-boundary collision of the backward-row formula is hit.
     """
     cells = grid_quantize(cloud, grid_n).cells
-    codes = np.asarray(serialization_codes(cells, grid_n, order))
-    collisions = 0
-    by_code: dict[int, set] = {}
-    for code, cell in zip(codes.tolist(), map(tuple, cells.tolist())):
-        by_code.setdefault(code, set()).add(cell)
-    for members in by_code.values():
-        if len(members) > 1:
-            collisions += len(members)
-    return collisions
+    codes = np.asarray(serialization_codes(cells, grid_n, order), dtype=np.int64)
+    pairs = np.unique(np.column_stack((codes, cells)), axis=0)  # distinct (code, cell)
+    _, cells_per_code = np.unique(pairs[:, 0], return_counts=True)
+    return int(cells_per_code[cells_per_code > 1].sum())
 
 
-def locality_metrics(cloud: PointCloud, perm: np.ndarray, window: int = 8) -> dict:
-    """How spatially local a serialization is.
+def locality_metrics(cloud: PointCloud, perms, window: int = 8) -> list:
+    """How spatially local each of several serializations of one cloud is.
 
-    ``mean_gap`` is the mean Euclidean distance between consecutive points
-    in serialized order. ``adjacency_rate`` is the fraction of consecutive
-    pairs that are mutually within each other's ``window`` nearest
-    neighbors (self excluded).
+    Returns one dict per permutation in ``perms``. ``mean_gap`` is the mean
+    Euclidean distance between consecutive points in serialized order.
+    ``adjacency_rate`` is the fraction of consecutive pairs that are
+    mutually within each other's ``window`` nearest neighbors (self
+    excluded). The neighbor table is computed once and shared by all
+    permutations.
     """
     from .sample import knn  # local import; sample does not import serialize
 
@@ -311,17 +308,20 @@ def locality_metrics(cloud: PointCloud, perm: np.ndarray, window: int = 8) -> di
         raise UndefinedMetricError("locality metrics need at least 2 points")
     if window < 1:
         raise ValueError("window must be >= 1")
-    perm = np.asarray(perm)
-    ordered = coords[perm]
-    gaps = np.linalg.norm(np.diff(ordered, axis=0), axis=1)
     k = min(window + 1, n)  # +1 because the query point itself ranks first
     hood = knn(coords, coords, k).neighbors
-    neighbor_sets = [set(row.tolist()) - {i} for i, row in enumerate(hood)]
-    mutual = 0
-    for a, b in zip(perm[:-1].tolist(), perm[1:].tolist()):
-        if b in neighbor_sets[a] and a in neighbor_sets[b]:
-            mutual += 1
-    return {
-        "mean_gap": float(gaps.mean()),
-        "adjacency_rate": mutual / (n - 1),
-    }
+    out = []
+    for perm in perms:
+        perm = np.asarray(perm)
+        gaps = np.linalg.norm(np.diff(coords[perm], axis=0), axis=1)
+        # consecutive points differ, so "b is a neighbor of a, self excluded"
+        # is just "b is in a's row"
+        a, b = perm[:-1], perm[1:]
+        mutual = (hood[a] == b[:, None]).any(axis=1) & (hood[b] == a[:, None]).any(axis=1)
+        out.append(
+            {
+                "mean_gap": float(gaps.mean()),
+                "adjacency_rate": int(np.count_nonzero(mutual)) / (n - 1),
+            }
+        )
+    return out

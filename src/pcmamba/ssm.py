@@ -301,6 +301,8 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer, mode: str = EULER):
     if mode not in (EULER, EXACT_ZOH):
         raise ValueError(f"unknown discretization mode {mode!r}")
     dt = softplus(u @ layer.dt_down_w.T @ layer.dt_up_w.T + layer.dt_bias)  # (M, Di)
+    if not np.isfinite(dt).all():
+        raise NumericRangeError("non-finite timescale dt in selective scan")
     b_tok = u @ layer.b_proj_w.T  # (M, S)
     c_tok = u @ layer.c_proj_w.T  # (M, S)
     a = -np.exp(layer.a_log)  # (Di, S)
@@ -318,8 +320,15 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer, mode: str = EULER):
         end = min(start + seg, m)
         n = end - start
         dts = dt[start:end]
-        z = np.multiply(dts[:, :, None], a[None, :, :], out=a_bar[:n])
-        np.multiply((dts * u[start:end])[:, :, None], b_tok[start:end, None, :], out=bx[:n])
+        # a huge finite dt (e.g. from a crafted dt_bias) overflows dt*A or
+        # dt*u*B; report it instead of running inf/NaN on into the output
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                z = np.multiply(dts[:, :, None], a[None, :, :], out=a_bar[:n])
+                np.multiply((dts * u[start:end])[:, :, None], b_tok[start:end, None, :], out=bx[:n])
+            except FloatingPointError as exc:
+                msg = f"overflow in selective-scan discretization: {exc}"
+                raise NumericRangeError(msg) from exc
         if mode == EXACT_ZOH:
             small = np.abs(z) < _ZOH_SERIES_CUTOFF
             z_safe = np.where(small, 1.0, z)

@@ -197,6 +197,27 @@ def test_forward_too_few_points(capsys, config_file):
     assert code == EXIT_IO
 
 
+def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
+    from pcmamba.cli import config_from_file
+    from pcmamba.io import save_weights
+    from pcmamba.model import build_model
+
+    model = build_model(config_from_file(config_file, "classification", 3, seed=3))
+    for name, tensor in model.named_params():
+        if name.endswith("dt_bias"):
+            tensor[...] = 1e308  # dt * A and dt * u * B overflow in the scan
+    weights = tmp_path / "overflow.pcmw"
+    save_weights(model, weights)
+    code = main(
+        ["forward", "--config", config_file, "--task", "cls", "--gen", "plane",
+         "--n", "64", "--seed", "3", "--weights", str(weights)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("error:") and "overflow" in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------- verify
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcmamba.pointset import PointCloud
+from pcmamba.errors import InvalidInputError
 from pcmamba.sample import (
     DETERMINISTIC_MIN,
     farthest_point_sample,
     interpolate_features,
     knn,
-    random_sample,
-    voxel_grid_sample,
 )
 
 
@@ -22,6 +22,36 @@ def fps_oracle(coords, m, first):
         )
         selected.append(int(np.argmax(d)))
     return np.array(selected)
+
+
+def knn_oracle(query, base, k):
+    """Full stable sort of every row by (squared distance, x, y, z, index).
+
+    Squared distances use the same per-axis differences as ``knn``, so exact
+    ties stay exact ties.
+    """
+    d = query[:, None, :] - base[None, :, :]
+    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+    keys = [np.broadcast_to(col, d2.shape) for col in (np.arange(len(base)), *base.T[::-1])]
+    return np.lexsort((*keys, d2), axis=-1)[:, :k]
+
+
+@st.composite
+def clouds(
+    draw, kinds=("random", "lattice", "duplicated"), spacings=(1.0, 0.25, 0.1), max_points=40
+):
+    """Small clouds: uniform, on an integer lattice (massive distance ties),
+    or built from a few points repeated many times."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, max_points))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, size=(n, 3))
+    if kind == "lattice":
+        spacing = draw(st.sampled_from(spacings))
+        return rng.integers(0, 3, size=(n, 3)) * spacing
+    distinct = rng.uniform(size=(draw(st.integers(1, max(1, n // 3))), 3))
+    return distinct[rng.integers(0, len(distinct), size=n)]
 
 
 # ------------------------------------------------------------------------ fps
@@ -65,33 +95,20 @@ def test_fps_spreads_better_than_random():
 
     fps_d = min_pairwise(farthest_point_sample(coords, 20))
     for seed in range(100):
-        assert min_pairwise(random_sample(coords, 20, seed)) <= fps_d
+        random_idx = np.random.Generator(np.random.PCG64(seed)).choice(200, size=20, replace=False)
+        assert min_pairwise(random_idx) <= fps_d
 
 
-# --------------------------------------------------------------------- random
-
-
-def test_random_sample_deterministic():
-    coords = np.zeros((50, 3))
-    a = random_sample(coords, 10, seed=9)
-    b = random_sample(coords, 10, seed=9)
-    np.testing.assert_array_equal(a, b)
-    assert len(np.unique(a)) == 10
-
-
-def test_random_sample_full_is_permutation():
-    idx = random_sample(np.zeros((12, 3)), 12, seed=0)
-    assert sorted(idx.tolist()) == list(range(12))
-
-
-def test_random_sample_inclusion_frequency():
-    n, m, trials = 10, 3, 10_000
-    coords = np.zeros((n, 3))
-    hits = sum(0 in random_sample(coords, m, seed) for seed in range(trials))
-    freq = hits / trials
-    p = m / n
-    sigma = np.sqrt(p * (1 - p) / trials)
-    assert abs(freq - p) <= 3 * sigma
+# lattice spacings are powers of two here: fps_oracle compares square roots,
+# which must not merge distinct squared distances into a false tie
+@settings(max_examples=150, deadline=None)
+@given(clouds(kinds=("lattice", "duplicated"), spacings=(1.0, 0.25)), st.data())
+def test_fps_matches_oracle_on_ties(coords, data):
+    m = data.draw(st.integers(1, len(coords)), label="m")
+    got = farthest_point_sample(coords, m)
+    first = np.lexsort((np.arange(len(coords)), coords[:, 2], coords[:, 1], coords[:, 0]))[0]
+    assert got[0] == first
+    np.testing.assert_array_equal(got, fps_oracle(coords, m, first))
 
 
 # ------------------------------------------------------------------------ knn
@@ -112,9 +129,31 @@ def test_knn_matches_bruteforce():
     for i in range(20):
         d = np.linalg.norm(base - query[i], axis=1)
         expected = np.argsort(d, kind="stable")[:8]
-        got_d = d[hood.neighbors[i]]
-        np.testing.assert_allclose(np.sort(got_d), np.sort(d[expected]), rtol=0, atol=0)
-        assert np.all(np.diff(got_d) >= 0)
+        np.testing.assert_array_equal(hood.neighbors[i], expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds(), st.data())
+def test_knn_matches_full_sort_oracle(base, data):
+    n = len(base)
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+    if data.draw(st.booleans(), label="self query"):
+        query = base
+    else:
+        query = data.draw(clouds(max_points=25), label="query")
+    np.testing.assert_array_equal(knn(query, base, k).neighbors, knn_oracle(query, base, k))
+
+
+def test_knn_matches_oracle_across_row_blocks():
+    # 4800 base points: distances are computed in blocks of a few hundred
+    # query rows, so 1200 queries span two blocks; the lattice ties massively
+    rng = np.random.Generator(np.random.PCG64(8))
+    grid = np.stack(np.meshgrid(np.arange(20), np.arange(20), np.arange(12), indexing="ij"), -1)
+    base = grid.reshape(-1, 3) * 0.1
+    on_lattice = base[rng.choice(len(base), 800, replace=False)]
+    query = np.concatenate([on_lattice, rng.uniform(0, 2, (400, 3))])
+    for k in (1, 7):
+        np.testing.assert_array_equal(knn(query, base, k).neighbors, knn_oracle(query, base, k))
 
 
 def test_knn_tie_prefers_lexicographically_smaller():
@@ -128,42 +167,9 @@ def test_knn_rejects_large_k():
         knn(np.zeros((2, 3)), np.zeros((2, 3)), 3)
 
 
-# ---------------------------------------------------------------------- voxel
-
-
-def test_voxel_single_cell():
-    rng = np.random.Generator(np.random.PCG64(4))
-    cloud = PointCloud(rng.uniform(0.0, 0.1, size=(20, 3)))
-    assert voxel_grid_sample(cloud, cell_size=10.0).n_points == 1
-
-
-def test_voxel_cube_corners():
-    corners = np.array(
-        [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
-    )
-    out = voxel_grid_sample(PointCloud(corners), cell_size=0.4)
-    assert out.n_points == 8
-
-
-def test_voxel_matches_bucketing_oracle():
-    rng = np.random.Generator(np.random.PCG64(5))
-    coords = rng.uniform(size=(200, 3))
-    cell = 0.25
-    out = voxel_grid_sample(PointCloud(coords), cell)
-    buckets = {}
-    for i, p in enumerate(coords):
-        buckets.setdefault(tuple(np.floor(p / cell).astype(int)), []).append(i)
-    expected = set()
-    for members in buckets.values():
-        pts = coords[members]
-        d2 = ((pts - pts.mean(axis=0)) ** 2).sum(axis=1)
-        best = min(
-            range(len(members)),
-            key=lambda j: (d2[j], pts[j, 0], pts[j, 1], pts[j, 2], members[j]),
-        )
-        expected.add(members[best])
-    got = {tuple(row) for row in out.coords}
-    assert got == {tuple(coords[i]) for i in expected}
+def test_knn_rejects_non_finite_query():
+    with pytest.raises(InvalidInputError):
+        knn(np.array([[0.0, np.nan, 0.0]]), np.zeros((2, 3)), 1)
 
 
 # -------------------------------------------------------------- interpolation

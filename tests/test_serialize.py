@@ -220,7 +220,7 @@ def test_locality_collinear_exact():
     coords = np.zeros((10, 3))
     coords[:, 0] = np.arange(10) * 0.125
     cloud = PointCloud(coords)
-    metrics = ser.locality_metrics(cloud, np.arange(10), window=2)
+    metrics = ser.locality_metrics(cloud, [np.arange(10)], window=2)[0]
     assert metrics["mean_gap"] == 0.125
 
 
@@ -230,7 +230,7 @@ def test_locality_full_grid_one_step():
     cloud = PointCloud(centers)
     nc = norm_cloud(centers)
     perm = ser.serialize(nc, ser.order_from_name("xyz"), 4)
-    metrics = ser.locality_metrics(nc.cloud, perm, window=6)
+    metrics = ser.locality_metrics(nc.cloud, [perm], window=6)[0]
     # consecutive cells are L1-adjacent, so every gap is one grid step
     assert metrics["mean_gap"] == pytest.approx(
         np.linalg.norm(np.diff(nc.cloud.coords[perm], axis=0), axis=1)[0]
@@ -245,14 +245,14 @@ def test_locality_random_permutation_worse_than_cts():
     nc = norm_cloud(coords)
     cts_perm = ser.serialize(nc, ser.order_from_name("xyz"), 8)
     random_perm = rng.permutation(512)
-    cts_gap = ser.locality_metrics(nc.cloud, cts_perm, 4)["mean_gap"]
-    rnd_gap = ser.locality_metrics(nc.cloud, random_perm, 4)["mean_gap"]
+    cts, rnd = ser.locality_metrics(nc.cloud, [cts_perm, random_perm], 4)
+    cts_gap, rnd_gap = cts["mean_gap"], rnd["mean_gap"]
     assert rnd_gap > cts_gap
 
 
 def test_locality_needs_two_points():
     with pytest.raises(UndefinedMetricError):
-        ser.locality_metrics(PointCloud(np.zeros((1, 3))), np.array([0]), 2)
+        ser.locality_metrics(PointCloud(np.zeros((1, 3))), [np.array([0])], 2)
 
 
 def test_collision_count_paper_mode():
