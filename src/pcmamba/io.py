@@ -10,7 +10,10 @@ u8 rank, u64 dims, and the raw data.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -147,61 +150,110 @@ def _read_exact(fh, count, what):
     return data
 
 
-def read_archive(path) -> dict:
-    """Read a weight archive into an ordered name -> array mapping."""
-    out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise FormatError(f"{path}: bad magic, not a weight archive")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
+def _scan_archive(fh, path) -> dict:
+    """Check an archive's layout from its headers, reading no payload.
+
+    Returns name -> (dtype, dims, payload offset) in file order. Each
+    header's payload is bounded by the bytes left in the file, and its dims
+    by what an array can address, before anything is allocated.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if _read_exact(fh, 4, "magic") != MAGIC:
+        raise FormatError(f"{path}: bad magic, not a weight archive")
+    version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    layout = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
+        try:
             name = _read_exact(fh, name_len, "name").decode("utf-8")
-            code, rank = struct.unpack("<BB", _read_exact(fh, 2, "tensor header"))
-            if code not in _DTYPE_CODES:
-                raise FormatError(f"{path}: tensor {name!r} has unknown dtype code {code}")
-            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
-            dtype = _DTYPE_CODES[code]
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-            data = np.frombuffer(_read_exact(fh, nbytes, f"tensor {name!r}"), dtype=dtype)
-            out[name] = data.reshape(dims)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after last tensor")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: tensor name is not valid UTF-8") from exc
+        if name in layout:
+            raise FormatError(f"{path}: duplicate tensor {name!r}")
+        code, rank = struct.unpack("<BB", _read_exact(fh, 2, "tensor header"))
+        if code not in _DTYPE_CODES:
+            raise FormatError(f"{path}: tensor {name!r} has unknown dtype code {code}")
+        dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
+        dtype = _DTYPE_CODES[code]
+        nbytes = math.prod(dims) * dtype.itemsize
+        left = size - fh.tell()
+        if nbytes > left:
+            raise FormatError(
+                f"{path}: tensor {name!r} with dims {dims} needs {nbytes} bytes, "
+                f"only {left} left in the file"
+            )
+        # numpy must address the extent of every nonzero dim, even when
+        # another dim is 0
+        if math.prod(d for d in dims if d) * dtype.itemsize > sys.maxsize:
+            raise FormatError(f"{path}: tensor {name!r} has unaddressable dims {dims}")
+        layout[name] = (dtype, dims, fh.tell())
+        fh.seek(nbytes, os.SEEK_CUR)
+    if fh.tell() != size:
+        raise FormatError(f"{path}: trailing bytes after last tensor")
+    return layout
+
+
+def _read_tensor(fh, path, name, dtype, offset, out):
+    """Read a payload into ``out`` (converting to its dtype) and check it is finite."""
+    fh.seek(offset)
+    buf = out if out.dtype == dtype and out.flags.c_contiguous else np.empty(out.shape, dtype)
+    if fh.readinto(buf.reshape(-1).view(np.uint8)) != buf.nbytes:
+        raise FormatError(f"{path}: truncated archive while reading tensor {name!r}")
+    if buf is not out:
+        out[...] = buf
+    if not np.isfinite(out).all():
+        raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf")
     return out
+
+
+def read_archive(path) -> dict:
+    """Read a weight archive into an ordered name -> array mapping.
+
+    Malformed headers, payloads that overrun the file and non-finite values
+    raise FormatError.
+    """
+    with open(path, "rb") as fh:
+        layout = _scan_archive(fh, path)
+        return {
+            name: _read_tensor(fh, path, name, dtype, offset, np.empty(dims, dtype))
+            for name, (dtype, dims, offset) in layout.items()
+        }
 
 
 def load_weights(path, config):
     """Build a model for ``config`` and fill it from the archive at ``path``.
 
-    Name or shape mismatches raise a FormatError listing every offender; on
-    error no model is returned (no partially-loaded state escapes).
+    Names and shapes are checked against the archive's headers before any
+    payload is read; each payload is then read straight into the model's
+    own array, which was allocated without drawing random numbers. Name or
+    shape mismatches raise a FormatError listing every offender, as does a
+    tensor holding NaN or Inf; on error no model is returned (no
+    partially-loaded state escapes).
     """
-    from .model import build_model
+    from .model import _unfilled_model
 
-    archive = read_archive(path)
-    model = build_model(config)
-    problems = []
-    seen = set()
-    for name, arr in model.named_params():
-        seen.add(name)
-        if name not in archive:
-            problems.append(f"missing tensor {name!r}")
-            continue
-        stored = archive[name]
-        if tuple(stored.shape) != tuple(arr.shape):
-            problems.append(
-                f"shape mismatch for {name!r}: archive {tuple(stored.shape)} "
-                f"vs model {tuple(arr.shape)}"
+    model = _unfilled_model(config)
+    params = dict(model.named_params())
+    with open(path, "rb") as fh:
+        layout = _scan_archive(fh, path)
+        problems = []
+        for name, arr in params.items():
+            if name not in layout:
+                problems.append(f"missing tensor {name!r}")
+            elif layout[name][1] != arr.shape:
+                problems.append(
+                    f"shape mismatch for {name!r}: archive {layout[name][1]} "
+                    f"vs model {arr.shape}"
+                )
+        problems.extend(f"unexpected tensor {n!r}" for n in layout if n not in params)
+        if problems:
+            raise FormatError(
+                f"{path}: archive does not match the model configuration: "
+                + "; ".join(problems)
             )
-    extras = [n for n in archive if n not in seen]
-    problems.extend(f"unexpected tensor {n!r}" for n in extras)
-    if problems:
-        raise FormatError(
-            f"{path}: archive does not match the model configuration: "
-            + "; ".join(problems)
-        )
-    for name, arr in model.named_params():
-        np.copyto(arr, archive[name].astype(arr.dtype, copy=False))
+        for name, arr in params.items():
+            dtype, _, offset = layout[name]
+            _read_tensor(fh, path, name, dtype, offset, arr)
     return model

@@ -16,21 +16,24 @@ from .errors import ConfigurationError
 from .nn import AffineMap, rms_norm, silu
 from .sample import NeighborhoodIndex
 
+# Neighbor rows per block in local_aggregate (64 centers at K = 12). Each
+# intermediate is then (768, D), 2.4 MB at D = 384, instead of (M*K, D),
+# 38 MB at stage 0 of "pcm": small enough to stay in cache and below the
+# size at which every temporary is mapped and page-faulted afresh.
+_BLOCK_NEIGHBOR_ROWS = 768
+
 
 @dataclass
 class GAMParams:
     """Per-channel scale/shift for the geometric affine normalization.
 
     ``alpha`` multiplies the normalized deviations, ``beta`` (optional,
-    zero-initialized) shifts them, ``delta`` guards the division. With
-    ``per_center`` the RMS is computed per neighborhood instead of once per
-    cloud.
+    zero-initialized) shifts them, ``delta`` guards the division.
     """
 
     alpha: np.ndarray
     beta: np.ndarray | None = None
     delta: float = 1e-5
-    per_center: bool = False
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -50,19 +53,25 @@ class GAMParams:
             yield f"{prefix}.beta", self.beta
 
 
+def _rms(dev: np.ndarray) -> float:
+    return float(np.sqrt((dev * dev).mean()))
+
+
+def _gam_affine(dev: np.ndarray, sigma: float, params: GAMParams) -> np.ndarray:
+    out = params.alpha * dev
+    out /= sigma + params.delta
+    if params.beta is not None:
+        out += params.beta
+    return out
+
+
 def gam_sigma(neighborhood_features: np.ndarray, center_features: np.ndarray) -> float:
     """RMS of neighbor deviations from their centers, one scalar per cloud.
 
     sigma = sqrt(mean over all centers, neighbors, channels of
     (f_ij - f_i)^2).
     """
-    dev = neighborhood_features - center_features[:, None, :]
-    return float(np.sqrt((dev * dev).mean()))
-
-
-def _sigma_per_center(neigh, centers):
-    dev = neigh - centers[:, None, :]
-    return np.sqrt((dev * dev).mean(axis=(1, 2)))
+    return _rms(neighborhood_features - center_features[:, None, :])
 
 
 def gam_normalize(
@@ -72,14 +81,7 @@ def gam_normalize(
 ) -> np.ndarray:
     """alpha * (f_ij - f_i) / (sigma + delta) + beta, elementwise."""
     dev = neighborhood_features - center_features[:, None, :]
-    if params.per_center:
-        sigma = _sigma_per_center(neighborhood_features, center_features)[:, None, None]
-    else:
-        sigma = gam_sigma(neighborhood_features, center_features)
-    out = params.alpha * dev / (sigma + params.delta)
-    if params.beta is not None:
-        out = out + params.beta
-    return out
+    return _gam_affine(dev, _rms(dev), params)
 
 
 @dataclass
@@ -102,7 +104,9 @@ class ResidualMLP:
 
     def __call__(self, x):
         h = silu(rms_norm(self.affine1(x), self.norm1_scale))
-        return x + rms_norm(self.affine2(h), self.norm2_scale)
+        out = rms_norm(self.affine2(h), self.norm2_scale)
+        out += x
+        return out
 
     def named_params(self, prefix: str):
         yield from self.affine1.named_params(f"{prefix}.affine1")
@@ -157,16 +161,31 @@ def local_aggregate(
     """Per-center features: phi2(maxpool_K(phi1(GAM(neighbors)))).
 
     The max over the K neighbors makes the result invariant to neighbor
-    order and to duplicated neighbors.
+    order and to duplicated neighbors. sigma is taken once over the whole
+    deviation array; GAM, phi1 and the max then run on blocks of centers of
+    about ``_BLOCK_NEIGHBOR_ROWS`` neighbor rows each, so their
+    intermediates stay in cache, and phi2 runs once on the pooled rows.
+    Every row is computed exactly as without blocking.
     """
-    neigh = features[neighborhood.neighbors]  # (M, K, D_in)
-    centers = features[neighborhood.centers]  # (M, D_in)
     if features.shape[-1] != gam.alpha.shape[0]:
         raise ConfigurationError(
             f"GAM expects {gam.alpha.shape[0]} channels, got {features.shape[-1]}"
         )
-    g = gam_normalize(neigh, centers, gam)
-    m, k, d_in = g.shape
-    lifted = phi1(g.reshape(m * k, d_in)).reshape(m, k, -1)
-    pooled = lifted.max(axis=1)
+    dev = features[neighborhood.neighbors]  # (M, K, D_in)
+    dev -= features[neighborhood.centers][:, None, :]
+    sigma = _rms(dev)
+    m, k, d_in = dev.shape
+    # Blocks are balanced rather than cut at a fixed size with a short
+    # remainder: a matrix product of one or a few rows takes another BLAS
+    # kernel (gemv, or OpenBLAS's small-matrix path) whose summation order
+    # differs, which would change the bits of those rows.
+    n_blocks = -(-m // max(1, _BLOCK_NEIGHBOR_ROWS // k))
+    bounds = [m * i // n_blocks for i in range(n_blocks + 1)]
+    pooled = None
+    for start, end in zip(bounds, bounds[1:]):
+        g = _gam_affine(dev[start:end], sigma, gam)
+        lifted = phi1(g.reshape(-1, d_in)).reshape(end - start, k, -1)
+        if pooled is None:
+            pooled = np.empty((m, lifted.shape[2]), dtype=lifted.dtype)
+        lifted.max(axis=1, out=pooled[start:end])
     return phi2(pooled)

@@ -190,6 +190,29 @@ class Model:
 def build_model(config: ModelConfig, seed: int | None = None) -> Model:
     """Deterministically initialize all parameters for the given config."""
     rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
+    return _assemble(config, rng)
+
+
+class _NoDraw:
+    """Generator stand-in whose draws are uninitialized arrays.
+
+    For models whose every parameter is about to be overwritten (loading an
+    archive): no random numbers are drawn and no weight page is touched.
+    """
+
+    def uniform(self, low, high, size):
+        return np.empty(size)
+
+    def normal(self, loc, scale, size):
+        return np.empty(size)
+
+
+def _unfilled_model(config: ModelConfig) -> Model:
+    """A model of the right shapes whose random parameters hold garbage."""
+    return _assemble(config, _NoDraw())
+
+
+def _assemble(config: ModelConfig, rng) -> Model:
     d1 = config.stages[0].channels
     stem = MLPStack.init(rng, 3 + config.in_features, d1, depth=1)
     stages = []

@@ -14,7 +14,11 @@ from .errors import ConfigurationError
 
 
 def silu(x):
-    return x / (1.0 + np.exp(-x))
+    """x / (1 + exp(-x)), computed in one buffer besides the input."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(x, out, out=out)
 
 
 def softplus(x):
@@ -29,8 +33,11 @@ def softplus_inverse(y):
 
 def rms_norm(x, scale, eps=1e-8):
     """Channel-wise RMS normalization with a learnable per-channel scale."""
-    rms = np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
-    return x / rms * scale
+    out = x * x
+    rms = np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    np.divide(x, rms, out=out)
+    out *= scale
+    return out
 
 
 @dataclass
@@ -61,7 +68,7 @@ class AffineMap:
             )
         y = x @ self.w.T
         if self.b is not None:
-            y = y + self.b
+            y += self.b
         return y
 
     def named_params(self, prefix: str):

@@ -52,7 +52,10 @@ def farthest_point_sample(cloud, m: int, start=DETERMINISTIC_MIN) -> np.ndarray:
     from the selected set (``argmax`` of the running min squared distance,
     so ties keep the earliest index), then lowers the running minimum by its
     squared distances. Those are accumulated as dx*dx + dy*dy + dz*dz over
-    three contiguous coordinate vectors into preallocated buffers.
+    three contiguous coordinate vectors into preallocated buffers. A
+    selected point's running minimum is set to -1, so the m indices are
+    distinct even when the cloud has fewer than m distinct points: once all
+    remaining distances are 0, the earliest unselected index is taken.
     """
     coords = _coords_of(cloud)
     n = len(coords)
@@ -80,11 +83,13 @@ def farthest_point_sample(cloud, m: int, start=DETERMINISTIC_MIN) -> np.ndarray:
     selected = np.empty(m, dtype=np.int64)
     selected[0] = first
     sq_dists_from(first, d2)
+    d2[first] = -1.0
     for i in range(1, m):
         nxt = int(d2.argmax())
         selected[i] = nxt
         sq_dists_from(nxt, cand)
         np.minimum(d2, cand, out=d2)
+        d2[nxt] = -1.0
     return selected
 
 

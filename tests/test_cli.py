@@ -218,6 +218,25 @@ def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
     assert "Traceback" not in err
 
 
+def test_forward_nan_weights_exits_3(capsys, tmp_path, config_file):
+    from pcmamba.cli import config_from_file
+    from pcmamba.io import save_weights
+    from pcmamba.model import build_model
+
+    model = build_model(config_from_file(config_file, "classification", 3, seed=3))
+    name, tensor = next(model.named_params())
+    tensor.flat[0] = np.nan
+    weights = tmp_path / "nan.pcmw"
+    save_weights(model, weights)
+    code = main(
+        ["forward", "--config", config_file, "--task", "cls", "--gen", "plane",
+         "--n", "64", "--seed", "3", "--weights", str(weights)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("error:") and repr(name) in err
+
+
 # --------------------------------------------------------------------- verify
 
 

@@ -1,5 +1,10 @@
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcmamba.errors import FormatError, InvalidInputError, ParseError
 from pcmamba.io import (
@@ -140,3 +145,77 @@ def test_weights_config_mismatch_names_offender(tmp_path):
     with pytest.raises(FormatError) as err:
         load_weights(path, small_config(num_classes=5))
     assert "head.logits" in str(err.value)
+
+
+def _tensors_archive(path, tensors):
+    save_weights(SimpleNamespace(named_params=lambda: iter(tensors)), path)
+    return path.read_bytes()
+
+
+def _header_offsets(tensors):
+    """Byte offsets of everything in an archive that is not payload."""
+    offsets = list(range(12))  # magic, version, count
+    pos = 12
+    for name, arr in tensors:
+        size = 2 + len(name.encode("utf-8")) + 2 + 8 * arr.ndim
+        offsets += range(pos, pos + size)
+        pos += size + arr.nbytes
+    return offsets
+
+
+_SMALL_TENSORS = [
+    ("a.w", np.arange(6.0).reshape(2, 3)),
+    ("b", np.linspace(-1.0, 1.0, 4).astype(np.float32)),
+    ("c.scale", np.ones(3)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_archive_header_mutations_load_or_raise_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mut") / "w.pcmw"
+    raw = bytearray(_tensors_archive(path, _SMALL_TENSORS))
+    offsets = _header_offsets(_SMALL_TENSORS)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        raw[data.draw(st.sampled_from(offsets), label="offset")] = data.draw(
+            st.integers(0, 255), label="byte"
+        )
+    path.write_bytes(bytes(raw))
+    try:
+        tensors = read_archive(path)
+    except FormatError:
+        return
+    assert all(np.isfinite(t).all() for t in tensors.values())
+
+
+@pytest.mark.parametrize("dims", [(2**64 - 1, 3), (2**32, 2**32), (2**62, 0)])
+def test_archive_dims_beyond_file_or_address_space(tmp_path, dims):
+    path = tmp_path / "w.pcmw"
+    raw = bytearray(_tensors_archive(path, _SMALL_TENSORS))
+    dims_at = 12 + 2 + len("a.w") + 2
+    raw[dims_at : dims_at + 16] = struct.pack("<2Q", *dims)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        read_archive(path)
+    assert "'a.w'" in str(err.value)
+
+
+def test_archive_duplicate_tensor_name_rejected(tmp_path):
+    path = tmp_path / "w.pcmw"
+    _tensors_archive(path, [("a", np.ones(2)), ("a", np.zeros(3))])
+    with pytest.raises(FormatError) as err:
+        read_archive(path)
+    assert "duplicate" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_archive_non_finite_tensor_rejected(tmp_path, bad):
+    model = build_model(small_config(seed=8))
+    name, tensor = list(model.named_params())[3]
+    tensor.flat[1] = bad
+    path = tmp_path / "w.pcmw"
+    save_weights(model, path)
+    for load in (read_archive, lambda p: load_weights(p, small_config())):
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert repr(name) in str(err.value)

@@ -3,13 +3,14 @@ import pytest
 
 from pcmamba.errors import ConfigurationError
 from pcmamba.local import (
+    _BLOCK_NEIGHBOR_ROWS,
     GAMParams,
     MLPStack,
     gam_normalize,
     gam_sigma,
     local_aggregate,
 )
-from pcmamba.nn import rms_norm, silu
+from pcmamba.nn import AffineMap, rms_norm, silu
 from pcmamba.sample import NeighborhoodIndex
 
 
@@ -65,17 +66,6 @@ def test_normalize_alpha_linearity():
     one = gam_normalize(neigh, centers, GAMParams(alpha=np.ones(3), beta=None))
     two = gam_normalize(neigh, centers, GAMParams(alpha=np.full(3, 2.0), beta=None))
     np.testing.assert_array_equal(two, 2.0 * one)
-
-
-def test_per_center_sigma_option():
-    rng = np.random.Generator(np.random.PCG64(5))
-    neigh = rng.normal(size=(6, 4, 3))
-    centers = rng.normal(size=(6, 3))
-    params = GAMParams(alpha=np.ones(3), beta=None, delta=1e-300, per_center=True)
-    out = gam_normalize(neigh, centers, params)
-    for i in range(6):
-        rms = np.sqrt((out[i] ** 2).mean())
-        assert abs(rms - 1.0) < 1e-9
 
 
 def test_delta_must_be_positive():
@@ -157,3 +147,93 @@ def test_local_aggregate_channel_mismatch_raises():
     feats, hood, phi1, phi2, gam = _toy_setup(11)
     with pytest.raises(ConfigurationError):
         local_aggregate(feats[:, :3], hood, phi1, phi2, GAMParams.init(3))
+
+
+# ---------------------------------------------- row blocks and dense primitives
+
+
+def _textbook_affine(a, x):
+    return x @ a.w.T + a.b
+
+
+def _textbook_rms_norm(x, scale):
+    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + 1e-8) * scale
+
+
+def _textbook_silu(x):
+    return x / (1.0 + np.exp(-x))
+
+
+def _textbook_stack(stack, x):
+    if stack.entry is not None:
+        x = _textbook_affine(stack.entry, x)
+    for blk in stack.blocks:
+        h = _textbook_silu(_textbook_rms_norm(_textbook_affine(blk.affine1, x), blk.norm1_scale))
+        x = x + _textbook_rms_norm(_textbook_affine(blk.affine2, h), blk.norm2_scale)
+    return x
+
+
+def _one_shot_aggregate(features, hood, phi1, phi2, gam):
+    """Whole-array composition: every neighbor row at once, no blocks."""
+    neigh = features[hood.neighbors]
+    dev = neigh - features[hood.centers][:, None, :]
+    sigma = float(np.sqrt((dev * dev).mean()))
+    g = gam.alpha * dev / (sigma + gam.delta)
+    if gam.beta is not None:
+        g = g + gam.beta
+    m, k, d_in = g.shape
+    lifted = _textbook_stack(phi1, g.reshape(m * k, d_in)).reshape(m, k, -1)
+    return _textbook_stack(phi2, lifted.max(axis=1))
+
+
+def _centers_per_block(k):
+    return _BLOCK_NEIGHBOR_ROWS // k
+
+
+@pytest.mark.parametrize(
+    "m, k, d_in, d_out, depth, with_beta",
+    [
+        (3 * _centers_per_block(4) + 37, 4, 5, 6, 1, True),  # entry affine, M not a block multiple
+        (4 * _centers_per_block(5) + 11, 5, 6, 6, 2, False),  # no entry, depth 2, beta=None
+        (3 * _centers_per_block(1) + 1, 1, 4, 7, 1, True),  # K = 1, one row past whole blocks
+        (_centers_per_block(12) + 1, 12, 8, 8, 1, True),  # two blocks of nearly half size
+        (7, 3, 5, 6, 2, True),  # fewer centers than one block
+    ],
+)
+def test_local_aggregate_equals_one_shot_oracle(m, k, d_in, d_out, depth, with_beta):
+    rng = np.random.Generator(np.random.PCG64(m * k))
+    feats = rng.normal(size=(m + 5, d_in))
+    hood = NeighborhoodIndex(
+        centers=rng.permutation(m + 5)[:m], neighbors=rng.integers(0, m + 5, size=(m, k)), k=k
+    )
+    phi1 = MLPStack.init(rng, d_in, d_out, depth=depth)
+    phi2 = MLPStack.init(rng, d_out, d_out, depth=depth)
+    gam = GAMParams(
+        alpha=rng.uniform(0.5, 2.0, size=d_in),
+        beta=rng.normal(size=d_in) if with_beta else None,
+    )
+    for stack in (phi1, phi2):
+        for _, arr in stack.named_params("phi"):
+            if arr.ndim == 1:  # biases and norm scales start at 0 and 1
+                arr[:] = rng.normal(size=arr.shape)
+    keep = feats.copy()
+    out = local_aggregate(feats, hood, phi1, phi2, gam)
+    np.testing.assert_array_equal(out, _one_shot_aggregate(feats, hood, phi1, phi2, gam))
+    np.testing.assert_array_equal(feats, keep)
+
+
+@pytest.mark.parametrize("shape", [(7,), (40, 9), (3, 4, 6), "strided"])
+def test_primitives_match_textbook_and_keep_input(shape):
+    rng = np.random.Generator(np.random.PCG64(12))
+    if shape == "strided":
+        x = (rng.normal(size=(40, 18)) * 10)[:, ::2]
+    else:
+        x = rng.normal(size=shape) * 10
+    keep = x.copy()
+    d = x.shape[-1]
+    scale = rng.normal(size=d)
+    affine = AffineMap(w=rng.normal(size=(5, d)), b=rng.normal(size=5))
+    np.testing.assert_array_equal(silu(x), _textbook_silu(x))
+    np.testing.assert_array_equal(rms_norm(x, scale), _textbook_rms_norm(x, scale))
+    np.testing.assert_array_equal(affine(x), _textbook_affine(affine, x))
+    np.testing.assert_array_equal(x, keep)

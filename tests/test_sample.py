@@ -13,13 +13,15 @@ from pcmamba.sample import (
 
 
 def fps_oracle(coords, m, first):
-    """O(N*m) reference: recompute min distance to the selected set each step."""
+    """O(N*m) reference: recompute min distance to the selected set each step
+    and take the earliest unselected index at the maximum."""
     selected = [first]
     for _ in range(m - 1):
         d = np.min(
             np.linalg.norm(coords[:, None, :] - coords[selected][None, :, :], axis=2),
             axis=1,
         )
+        d[selected] = -1.0
         selected.append(int(np.argmax(d)))
     return np.array(selected)
 
@@ -109,6 +111,20 @@ def test_fps_matches_oracle_on_ties(coords, data):
     first = np.lexsort((np.arange(len(coords)), coords[:, 2], coords[:, 1], coords[:, 0]))[0]
     assert got[0] == first
     np.testing.assert_array_equal(got, fps_oracle(coords, m, first))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds(), st.data())
+def test_fps_indices_distinct(coords, data):
+    m = data.draw(st.integers(1, len(coords)), label="m")
+    got = farthest_point_sample(coords, m)
+    assert len(got) == m
+    assert len(np.unique(got)) == m
+
+
+def test_fps_few_distinct_points_example():
+    coords = np.tile(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), (10, 1))
+    np.testing.assert_array_equal(farthest_point_sample(coords, 6), [0, 1, 2, 3, 4, 5])
 
 
 # ------------------------------------------------------------------------ knn
