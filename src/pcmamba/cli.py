@@ -7,8 +7,10 @@ suites), ``bench`` (linear-complexity scaling measurement), ``inspect``
 
 Reports are plain ``key=value`` lines, sections separated by blank lines;
 tabular output is CSV with a header row. Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 I/O, format or numeric-range error
-(input or weights that overflow a computation).
+verification failure, 2 usage or configuration error (a config JSON with a
+missing, mistyped or non-positive field), 3 I/O, format or numeric-range
+error (an xyz file that is not UTF-8 text, input or weights that overflow
+a computation).
 """
 
 from __future__ import annotations
@@ -136,9 +138,25 @@ def cmd_serialize(args) -> int:
 # config resolution
 
 
+_STAGE_KEYS = ("channels", "num_layers", "serializations", "points")
+
+
 def config_from_file(path, task, num_classes=None, in_features=0, seed=0) -> ModelConfig:
+    """Model config from a JSON object with a "stages" list; the value checks
+    are those of StageConfig and ModelConfig, shared with the presets."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or not isinstance(raw.get("stages"), list):
+        raise ConfigurationError(f"{path}: expected a JSON object with a 'stages' list")
+    for i, s in enumerate(raw["stages"]):
+        if not isinstance(s, dict):
+            raise ConfigurationError(f"{path}: stage {i} must be a JSON object")
+        missing = [key for key in _STAGE_KEYS if key not in s]
+        if missing:
+            raise ConfigurationError(f"{path}: stage {i} lacks {', '.join(missing)}")
+        names = s["serializations"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ConfigurationError(f"{path}: stage {i} serializations must be a list of names")
     stages = tuple(
         StageConfig(
             channels=s["channels"],

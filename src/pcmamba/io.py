@@ -32,31 +32,34 @@ def read_xyz(path) -> PointCloud:
     """Parse an ASCII xyz file; extra columns become feature channels."""
     coords, feats = [], []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected at least 3 columns, got {len(parts)}",
-                    line_number=lineno,
-                )
-            try:
-                values = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}", line_number=lineno) from exc
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: inconsistent column count "
-                    f"({len(values)} vs {width})",
-                    line_number=lineno,
-                )
-            coords.append(values[:3])
-            feats.append(values[3:])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) < 3:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected at least 3 columns, got {len(parts)}",
+                        line_number=lineno,
+                    )
+                try:
+                    values = [float(p) for p in parts]
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}", line_number=lineno) from exc
+                if width is None:
+                    width = len(values)
+                elif len(values) != width:
+                    raise ParseError(
+                        f"{path}:{lineno}: inconsistent column count "
+                        f"({len(values)} vs {width})",
+                        line_number=lineno,
+                    )
+                coords.append(values[:3])
+                feats.append(values[3:])
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not coords:
         raise InvalidInputError(f"{path}: no points found")
     features = np.asarray(feats) if feats and len(feats[0]) else None

@@ -32,6 +32,15 @@ TASK_CLASSIFICATION = "classification"
 TASK_SEGMENTATION = "part_segmentation"
 
 
+def _require_count(config, minimums):
+    """Raise ConfigurationError naming the first field that is not an integer
+    at or above its minimum (bool is not an integer here)."""
+    for name, minimum in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+            raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StageConfig:
     """Width, depth, per-layer serialization orders, and sampling for one stage."""
@@ -43,6 +52,7 @@ class StageConfig:
     k_neighbors: int = 12
 
     def __post_init__(self):
+        _require_count(self, {"channels": 1, "num_layers": 0, "points": 1, "k_neighbors": 1})
         if len(self.serializations) != self.num_layers:
             raise ConfigurationError(
                 f"stage declares {self.num_layers} layers but "
@@ -70,8 +80,20 @@ class ModelConfig:
             raise ConfigurationError("the encoder has exactly four stages")
         if self.task not in (TASK_CLASSIFICATION, TASK_SEGMENTATION):
             raise ConfigurationError(f"unknown task {self.task!r}")
-        if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
+        _require_count(
+            self,
+            {
+                "n_p": 0,
+                "grid_n": 1,
+                "num_classes": 2,
+                "in_features": 0,
+                "prompt_width": 1,
+                "state_size": 1,
+                "expand": 1,
+                "conv_width": 1,
+                "head_hidden": 1,
+            },
+        )
 
     @property
     def order_names(self) -> tuple:

@@ -1,8 +1,8 @@
 """Downsampling and neighborhood construction.
 
 Everything here is deterministic: farthest-point sampling starts from the
-lexicographically smallest point by default, and k-nearest-neighbor ties
-are broken by lexicographic coordinates then input index.
+lexicographically smallest point, and k-nearest-neighbor ties are broken
+by lexicographic coordinates then input index.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pointset import PointCloud, canonical_tiebreak_order
-
-DETERMINISTIC_MIN = "deterministic_min"
 
 # Distance entries per kNN block (rows x base points).
 _BLOCK_ENTRIES = 4_000_000
@@ -43,15 +41,14 @@ def _coords_of(cloud) -> np.ndarray:
     return np.ascontiguousarray(cloud, dtype=np.float64)
 
 
-def farthest_point_sample(cloud, m: int, start=DETERMINISTIC_MIN) -> np.ndarray:
+def farthest_point_sample(cloud, m: int) -> np.ndarray:
     """Greedy max-min subset of m point indices.
 
-    ``start=deterministic_min`` seeds the greedy pass at the lexicographically
-    smallest point, which makes the selection a pure function of geometry;
-    an integer seeds it at that index. Each pass picks the point farthest
-    from the selected set (``argmax`` of the running min squared distance,
-    so ties keep the earliest index), then lowers the running minimum by its
-    squared distances. Those are accumulated as dx*dx + dy*dy + dz*dz over
+    The greedy pass starts at the lexicographically smallest point, which
+    makes the selection a pure function of geometry. Each pass picks the
+    point farthest from the selected set (``argmax`` of the running min
+    squared distance, so ties keep the earliest index), then lowers the
+    running minimum by its squared distances. Those are accumulated as dx*dx + dy*dy + dz*dz over
     three contiguous coordinate vectors into preallocated buffers. A
     selected point's running minimum is set to -1, so the m indices are
     distinct even when the cloud has fewer than m distinct points: once all
@@ -61,12 +58,7 @@ def farthest_point_sample(cloud, m: int, start=DETERMINISTIC_MIN) -> np.ndarray:
     n = len(coords)
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    if start == DETERMINISTIC_MIN:
-        first = int(canonical_tiebreak_order(coords)[0])
-    else:
-        first = int(start)
-        if not 0 <= first < n:
-            raise ValueError(f"start index {first} out of range")
+    first = int(canonical_tiebreak_order(coords)[0])
     x, y, z = (np.ascontiguousarray(coords[:, j]) for j in range(3))
     d2, cand, sq = np.empty(n), np.empty(n), np.empty(n)
 

@@ -119,7 +119,8 @@ def code_func(n1, n2, width: int, mode: str = MODE_BIJECTIVE):
     ``paper_literal`` mode the backward row is ``(n2 + 1) * width - n1``;
     in ``bijective`` mode it is ``(n2 + 1) * width - 1 - n1``.
 
-    Accepts scalars or equal-shaped integer arrays. Requires 0 <= n1 < width.
+    Accepts scalars or equal-shaped integer arrays and returns an array.
+    Requires 0 <= n1 < width.
     """
     n1a = np.asarray(n1, dtype=np.int64)
     n2a = np.asarray(n2, dtype=np.int64)
@@ -133,14 +134,11 @@ def code_func(n1, n2, width: int, mode: str = MODE_BIJECTIVE):
         backward = (n2a + 1) * width - 1 - n1a
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    out = np.where(n2a % 2 == 0, n2a * width + n1a, backward)
-    if out.ndim == 0:
-        return int(out)
-    return out
+    return np.where(n2a % 2 == 0, n2a * width + n1a, backward)
 
 
-def cts_code(cell, grid_n: int, axis_perm=(0, 1, 2), mode: str = MODE_BIJECTIVE):
-    """Snake-order code of a grid cell (or N x 3 array of cells).
+def cts_code(cells, grid_n: int, axis_perm=(0, 1, 2), mode: str = MODE_BIJECTIVE):
+    """Snake-order code of each row of an N x 3 array of grid cells.
 
     The two-index pairing is applied twice: first on the roles (c1, c2)
     with width grid_n, then on (inner, c3) with width grid_n**2, since the
@@ -149,20 +147,16 @@ def cts_code(cell, grid_n: int, axis_perm=(0, 1, 2), mode: str = MODE_BIJECTIVE)
     """
     if grid_n > MAX_GRID_CTS:
         raise ValueError(f"grid_n must be <= {MAX_GRID_CTS} for snake codes")
-    cells = np.asarray(cell, dtype=np.int64)
-    single = cells.ndim == 1
-    cells = np.atleast_2d(cells)
+    cells = np.asarray(cells, dtype=np.int64)
     p1 = cells[:, axis_perm[0]]
     p2 = cells[:, axis_perm[1]]
     p3 = cells[:, axis_perm[2]]
     inner = code_func(p1, p2, width=grid_n, mode=mode)
     outer_width = grid_n * grid_n
-    if np.any(np.asarray(inner) >= outer_width):
+    if np.any(inner >= outer_width):
         # only reachable in paper_literal mode at the collision boundary
         inner = np.minimum(inner, outer_width - 1)
-    code = code_func(inner, p3, width=outer_width, mode=mode)
-    code = np.atleast_1d(np.asarray(code))
-    return int(code[0]) if single else code
+    return code_func(inner, p3, width=outer_width, mode=mode)
 
 
 def _bits_for(grid_n: int) -> int:
@@ -182,19 +176,16 @@ def _spread_bits_3(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def morton_code(cell, grid_n: int):
-    """z-order (Morton) code: bit-interleave of the cell indices, x fastest."""
+def morton_code(cells, grid_n: int):
+    """z-order (Morton) code per row of N x 3 cells: bit-interleave, x fastest."""
     if grid_n > MAX_GRID_INTERLEAVE:
         raise ValueError(f"grid_n must be <= {MAX_GRID_INTERLEAVE} for interleaving")
-    cells = np.asarray(cell, dtype=np.int64)
-    single = cells.ndim == 1
-    cells = np.atleast_2d(cells)
-    code = (
+    cells = np.asarray(cells, dtype=np.int64)
+    return (
         _spread_bits_3(cells[:, 0])
         | (_spread_bits_3(cells[:, 1]) << np.uint64(1))
         | (_spread_bits_3(cells[:, 2]) << np.uint64(2))
     ).astype(np.int64)
-    return int(code[0]) if single else code
 
 
 def _hilbert_transpose(cells: np.ndarray, bits: int) -> np.ndarray:
@@ -225,25 +216,22 @@ def _hilbert_transpose(cells: np.ndarray, bits: int) -> np.ndarray:
     return x
 
 
-def hilbert_code(cell, grid_n: int):
-    """3-D Hilbert curve index of a grid cell.
+def hilbert_code(cells, grid_n: int):
+    """3-D Hilbert curve index of each row of an N x 3 cell array.
 
     Bijective on the (power-of-two padded) cube, and consecutive indices are
     always one unit grid step apart.
     """
     if grid_n > MAX_GRID_INTERLEAVE:
         raise ValueError(f"grid_n must be <= {MAX_GRID_INTERLEAVE} for interleaving")
-    cells = np.asarray(cell, dtype=np.int64)
-    single = cells.ndim == 1
-    cells = np.atleast_2d(cells)
+    cells = np.asarray(cells, dtype=np.int64)
     bits = _bits_for(grid_n)
     tr = _hilbert_transpose(cells, bits)
     code = np.zeros(len(tr), dtype=np.uint64)
     for b in range(bits - 1, -1, -1):
         for i in range(3):
             code = (code << np.uint64(1)) | ((tr[:, i] >> np.uint64(b)) & np.uint64(1))
-    code = code.astype(np.int64)
-    return int(code[0]) if single else code
+    return code.astype(np.int64)
 
 
 def serialization_codes(cells: np.ndarray, grid_n: int, order: SerializationOrder):

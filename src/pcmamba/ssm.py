@@ -6,6 +6,8 @@ h_t = a_bar * h_{t-1} + b_bar * x_t with y_t = c . h_t, the equivalent
 global-convolution form for time-invariant parameters, a hand-derived
 reverse-time adjoint for gradient verification, and the selective
 (input-conditioned) layer with its gated block and bidirectional wrapper.
+The selective layer discretizes its input term with the Euler rule
+b_bar = dt * B, as Mamba's reference scan does.
 
 Kernel math runs in the dtype of its inputs; tests drive everything in
 float64. The recurrence is sequential along the sequence axis and
@@ -22,22 +24,16 @@ import numpy as np
 from .errors import ContractViolationError, NumericRangeError
 from .nn import rms_norm, silu, softplus, softplus_inverse
 
-EULER = "euler"
-EXACT_ZOH = "exact_zoh"
-
 # below this |dt * a| the ZOH input factor switches to its Taylor series
 _ZOH_SERIES_CUTOFF = 1e-6
 
 
-def discretize(dt, a, b, mode: str = EXACT_ZOH):
-    """Discretize diagonal continuous parameters (a, b) over a step dt.
+def discretize(dt, a, b):
+    """Zero-order-hold discretization of diagonal continuous parameters (a, b).
 
-    a_bar = exp(dt * a) in both modes. For the input matrix:
-
-    * ``exact_zoh``: b_bar = ((exp(dt * a) - 1) / a) * b, evaluated as
-      expm1(z)/z * dt * b with z = dt * a, falling back to the series
-      1 + z/2 + z^2/6 when |z| < 1e-6 (the two branches agree to ~1e-15);
-    * ``euler``: b_bar = dt * b.
+    a_bar = exp(dt * a) and b_bar = ((exp(dt * a) - 1) / a) * b, evaluated
+    as expm1(z)/z * dt * b with z = dt * a, falling back to the series
+    1 + z/2 + z^2/6 when |z| < 1e-6 (the two branches agree to ~1e-15).
 
     Inputs broadcast elementwise; dt must be positive.
     """
@@ -54,14 +50,20 @@ def discretize(dt, a, b, mode: str = EXACT_ZOH):
             raise NumericRangeError(f"exp overflow in discretization: {exc}") from exc
     if not np.isfinite(a_bar).all():
         raise NumericRangeError("exp overflow in discretization")
-    if mode == EULER:
-        return a_bar, dt * b
-    if mode != EXACT_ZOH:
-        raise ValueError(f"unknown discretization mode {mode!r}")
     small = np.abs(z) < _ZOH_SERIES_CUTOFF
     z_safe = np.where(small, 1.0, z)
     factor = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z_safe) / z_safe)
     return a_bar, factor * dt * b
+
+
+def _recur(a_bar, bx, h, states):
+    """h_t = a_bar_t * h_{t-1} + bx_t into states[t], along the leading axis
+    of (M, ..., S) arrays; h holds the state before step 0 and is updated in
+    place."""
+    for t in range(len(states)):
+        np.multiply(a_bar[t], h, out=h)
+        h += bx[t]
+        states[t] = h
 
 
 def _per_step(arr, m, s, name):
@@ -75,12 +77,11 @@ def _per_step(arr, m, s, name):
     return arr
 
 
-def scan(x, a_bar, b_bar, c, h0=None):
+def scan(x, a_bar, b_bar, c):
     """Run the recurrence h_t = a_bar_t * h_{t-1} + b_bar_t * x_t, y_t = c_t . h_t.
 
     ``x`` is a length-M scalar sequence; the parameters are per-step (M, S)
-    arrays or constant (S,) vectors. The initial state is zero unless h0 is
-    given.
+    arrays or constant (S,) vectors. The initial state is zero.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
@@ -88,15 +89,17 @@ def scan(x, a_bar, b_bar, c, h0=None):
     a_bar = _per_step(a_bar, m, s, "a_bar")
     b_bar = _per_step(b_bar, m, s, "b_bar")
     c = _per_step(c, m, s, "c")
-    h = np.zeros(s) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
+    states = np.empty((m, s))
+    _recur(a_bar, b_bar * x[:, None], np.zeros(s), states)
+    # one dot product per row: batched forms (einsum, a sum over S) add the
+    # S products in another order and can differ in the last bit
     y = np.empty(m)
     for t in range(m):
-        h = a_bar[t] * h + b_bar[t] * x[t]
-        y[t] = c[t] @ h
+        y[t] = c[t] @ states[t]
     return y
 
 
-def conv_form(x, system: "LTISystem", mode: str = EXACT_ZOH):
+def conv_form(x, system: "LTISystem"):
     """Evaluate a time-invariant system as a causal global convolution.
 
     The kernel is K_m = c . (a_bar^m * b_bar) for m = 0..M-1; the output is
@@ -106,7 +109,7 @@ def conv_form(x, system: "LTISystem", mode: str = EXACT_ZOH):
         raise ContractViolationError("conv_form requires a time-invariant LTISystem")
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
-    a_bar, b_bar = system.discretize(mode)
+    a_bar, b_bar = system.discretize()
     powers = np.ones((m, a_bar.shape[0]))
     if m > 1:
         powers[1:] = np.cumprod(np.broadcast_to(a_bar, (m - 1, a_bar.shape[0])), axis=0)
@@ -136,10 +139,7 @@ def scan_backward(x, a_bar, b_bar, c, upstream_grad):
     c = np.asarray(c, dtype=np.float64)
 
     states = np.empty((m, s))
-    h = np.zeros(s)
-    for t in range(m):
-        h = a_bar[t] * h + b_bar[t] * x[t]
-        states[t] = h
+    _recur(a_bar, b_bar * x[:, None], np.zeros(s), states)
 
     dx = np.empty(m)
     da_bar = np.empty((m, s))
@@ -185,8 +185,8 @@ class LTISystem:
     def state_size(self) -> int:
         return self.a.shape[0]
 
-    def discretize(self, mode: str = EXACT_ZOH):
-        return discretize(self.dt, self.a, self.b, mode)
+    def discretize(self):
+        return discretize(self.dt, self.a, self.b)
 
 
 @dataclass
@@ -287,19 +287,17 @@ class SelectiveSSMLayer:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer, mode: str = EULER):
+def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer):
     """Input-conditioned scan over an (M, Di) token sequence.
 
     Per token: dt = softplus(dt_proj(u_t)) per channel, B_t = b_proj(u_t),
     C_t = c_proj(u_t); the recurrence runs per channel with S states and a
     zero initial state, and d_skip * u is added at the end. B_t and C_t are
-    shared across channels; the default discretizes the input term with the
-    euler simplification b_bar = dt * B.
+    shared across channels. A is discretized as exp(dt * A) and the input
+    term with the Euler rule b_bar = dt * B.
     """
     m, d_inner = u.shape
     s = layer.state_size
-    if mode not in (EULER, EXACT_ZOH):
-        raise ValueError(f"unknown discretization mode {mode!r}")
     dt = softplus(u @ layer.dt_down_w.T @ layer.dt_up_w.T + layer.dt_bias)  # (M, Di)
     if not np.isfinite(dt).all():
         raise NumericRangeError("non-finite timescale dt in selective scan")
@@ -329,18 +327,10 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer, mode: str = EULER):
             except FloatingPointError as exc:
                 msg = f"overflow in selective-scan discretization: {exc}"
                 raise NumericRangeError(msg) from exc
-        if mode == EXACT_ZOH:
-            small = np.abs(z) < _ZOH_SERIES_CUTOFF
-            z_safe = np.where(small, 1.0, z)
-            factor = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z_safe) / z_safe)
-            bx[:n] *= factor
         np.exp(z, out=a_bar[:n])
         # sequential recurrence (state order is load-bearing); the readout
         # y_t = h_t . C_t is batched per segment once the states are known
-        for t in range(n):
-            np.multiply(a_bar[t], h, out=h)
-            h += bx[t]
-            states[t] = h
+        _recur(a_bar[:n], bx[:n], h, states[:n])
         np.einsum("tds,ts->td", states[:n], c_tok[start:end], out=y[start:end])
     return y + layer.d_skip * u
 

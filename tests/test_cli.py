@@ -197,6 +197,47 @@ def test_forward_too_few_points(capsys, config_file):
     assert code == EXIT_IO
 
 
+def _with_stage0(**fields):
+    stage = {k: v for k, v in {**SMALL_CONFIG["stages"][0], **fields}.items() if v is not None}
+    return {**SMALL_CONFIG, "stages": [stage] + SMALL_CONFIG["stages"][1:]}
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({}, "stages"),
+        (_with_stage0(num_layers=None), "num_layers"),
+        ({**SMALL_CONFIG, "stages": 5}, "stages"),
+        ([SMALL_CONFIG], "stages"),
+        (_with_stage0(channels="12"), "channels"),
+        (_with_stage0(channels=0), "channels"),
+        (_with_stage0(serializations="xyz"), "serializations"),
+        ({**SMALL_CONFIG, "state_size": 0}, "state_size"),
+        ({**SMALL_CONFIG, "n_p": -1}, "n_p"),
+    ],
+    ids=[
+        "empty", "no-num_layers", "stages-int", "top-level-list", "channels-str",
+        "channels-0", "serializations-str", "state_size-0", "n_p-negative",
+    ],
+)
+def test_forward_malformed_config_exits_2(capsys, tmp_path, config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code = main(["forward", "--config", str(path), "--gen", "sphere", "--n", "100"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and field in err
+
+
+def test_forward_non_utf8_xyz_exits_3(capsys, tmp_path, config_file):
+    path = tmp_path / "latin.xyz"
+    path.write_bytes(b"0 0 0\n\xff\xfe 1 1\n")
+    code = main(["forward", "--config", config_file, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
     from pcmamba.cli import config_from_file
     from pcmamba.io import save_weights

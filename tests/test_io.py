@@ -55,6 +55,36 @@ def test_read_xyz_errors(tmp_path):
         read_xyz(empty)
 
 
+def test_read_xyz_not_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "latin.xyz"
+    path.write_bytes(b"0 0 0\n\xff\xfe 1 1\n")
+    with pytest.raises(ParseError, match="latin.xyz"):
+        read_xyz(path)
+
+
+_XYZ_TOKENS = [
+    b"0", b"-1.5", b"2e-3", b"1e308", b"1e999", b"nan", b"-inf", b"1_0", b" ", b"\t",
+    b"\n", b"\r", b"#", b"x", b"\x00", b"\xff", b"\xc3", b"\xc3\xa9", b"\xe2\x80\xa8",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(_XYZ_TOKENS), max_size=80).map(b"".join),
+    )
+)
+def test_read_xyz_arbitrary_bytes_give_cloud_or_typed_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "f.xyz"
+    path.write_bytes(raw)
+    try:
+        cloud = read_xyz(path)
+    except (ParseError, InvalidInputError):
+        return
+    assert isinstance(cloud, PointCloud) and np.isfinite(cloud.coords).all()
+
+
 def test_xyz_roundtrip_exact(tmp_path):
     rng = np.random.Generator(np.random.PCG64(0))
     cloud = PointCloud(rng.normal(size=(50, 3)) * 100, features=rng.normal(size=(50, 2)))

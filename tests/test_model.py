@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cloud, small_config
 from pcmamba.errors import DegenerateLabelsError, InvalidInputError
@@ -110,6 +112,48 @@ def test_segmentation_shape_and_equivariance():
     perm = np.random.Generator(np.random.PCG64(9)).permutation(80)
     out_perm = forward_segmentation(model, PointCloud(cloud.coords[perm]))
     np.testing.assert_array_equal(out_perm, out[perm])
+
+
+_CLS_MODEL = build_model(small_config())
+_SEG_MODEL = build_model(small_config(task=TASK_SEGMENTATION, num_classes=5))
+_BUDGET = small_config().stages[-1].points
+
+
+def degenerate_coords(kind, n, rng):
+    """Coincident, collinear, planar, stage-4-budget-sized or far-offset clouds."""
+    if kind == "coincident":
+        return np.tile(rng.normal(size=3), (n, 1))
+    if kind == "collinear":
+        return rng.normal(size=3) + rng.uniform(-1, 1, size=(n, 1)) * rng.normal(size=3)
+    if kind == "axis-line":
+        return np.column_stack([rng.uniform(size=n), np.zeros(n), np.zeros(n)])
+    if kind == "planar":
+        return rng.uniform(-1, 1, size=(n, 2)) @ rng.normal(size=(2, 3))
+    if kind == "axis-plane":
+        return np.column_stack([rng.uniform(size=(n, 2)), np.full(n, 0.25)])
+    if kind == "budget":
+        return rng.uniform(size=(_BUDGET, 3))
+    return rng.uniform(-1e3, 1e3, size=(n, 3)) + rng.choice([-1e15, 1e15], size=3)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(
+        ["coincident", "collinear", "axis-line", "planar", "axis-plane", "budget", "offset"]
+    ),
+    st.integers(_BUDGET, 80),
+    st.integers(0, 2**32 - 1),
+)
+def test_degenerate_clouds_finite_and_shuffle_invariant(kind, n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cloud = PointCloud(degenerate_coords(kind, n, rng))
+    logits = forward_classification(_CLS_MODEL, cloud)
+    assert np.isfinite(logits).all()
+    assert np.isfinite(forward_segmentation(_SEG_MODEL, cloud)).all()
+    if len(np.unique(cloud.coords, axis=0)) == cloud.n_points:
+        shuffled = PointCloud(cloud.coords[rng.permutation(cloud.n_points)])
+        np.testing.assert_array_equal(forward_classification(_CLS_MODEL, shuffled), logits)
 
 
 def test_segmentation_zero_head_uniform():

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmamba.errors import InvalidInputError
-from pcmamba.sample import (
-    DETERMINISTIC_MIN,
-    farthest_point_sample,
-    interpolate_features,
-    knn,
-)
+from pcmamba.sample import farthest_point_sample, interpolate_features, knn
 
 
 def fps_oracle(coords, m, first):
@@ -61,9 +56,7 @@ def clouds(
 
 def test_fps_two_points_on_line():
     coords = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-    np.testing.assert_array_equal(
-        farthest_point_sample(coords, 2, DETERMINISTIC_MIN), [0, 1]
-    )
+    np.testing.assert_array_equal(farthest_point_sample(coords, 2), [0, 1])
 
 
 def test_fps_m_equals_n_returns_all():

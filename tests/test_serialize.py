@@ -83,7 +83,7 @@ def test_code_func_rejects_out_of_range():
 def test_cts_zero_cell():
     for name in ser.CTS_NAMES:
         order = ser.order_from_name(name)
-        assert ser.cts_code(np.array([0, 0, 0]), 4, order.axis_perm) == 0
+        assert ser.cts_code(np.array([[0, 0, 0]]), 4, order.axis_perm)[0] == 0
 
 
 def test_cts_bijective_enumeration_grid2():
@@ -123,7 +123,7 @@ def test_axis_variant_relation_exhaustive():
 )
 def test_cts_code_within_range_property(cell, name):
     order = ser.order_from_name(name)
-    code = ser.cts_code(np.array(cell), 8, order.axis_perm)
+    code = ser.cts_code(np.array([cell]), 8, order.axis_perm)[0]
     assert 0 <= code < 8**3
 
 
@@ -131,12 +131,12 @@ def test_cts_code_within_range_property(cell, name):
 
 
 def test_morton_examples():
-    assert ser.morton_code(np.array([0, 0, 0]), 2) == 0
-    assert ser.morton_code(np.array([1, 1, 1]), 2) == 7
+    assert ser.morton_code(np.array([[0, 0, 0]]), 2)[0] == 0
+    assert ser.morton_code(np.array([[1, 1, 1]]), 2)[0] == 7
 
 
 def test_hilbert_zero():
-    assert ser.hilbert_code(np.array([0, 0, 0]), 4) == 0
+    assert ser.hilbert_code(np.array([[0, 0, 0]]), 4)[0] == 0
 
 
 def test_hilbert_bijective_unit_steps_grid4():
@@ -155,11 +155,11 @@ def test_morton_bijective_grid8():
 
 def test_grid_limits_enforced():
     with pytest.raises(ValueError):
-        ser.cts_code(np.array([0, 0, 0]), (1 << 20) + 1)
+        ser.cts_code(np.array([[0, 0, 0]]), (1 << 20) + 1)
     with pytest.raises(ValueError):
-        ser.morton_code(np.array([0, 0, 0]), (1 << 21) + 1)
+        ser.morton_code(np.array([[0, 0, 0]]), (1 << 21) + 1)
     with pytest.raises(ValueError):
-        ser.hilbert_code(np.array([0, 0, 0]), (1 << 21) + 1)
+        ser.hilbert_code(np.array([[0, 0, 0]]), (1 << 21) + 1)
 
 
 # ------------------------------------------------------------------ serialize

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmamba.errors import ContractViolationError, NumericRangeError
+from pcmamba.nn import softplus
 from pcmamba.ssm import (
-    EULER,
-    EXACT_ZOH,
     LTISystem,
     SelectiveSSMLayer,
     bidirectional_mamba,
@@ -56,11 +55,6 @@ def test_discretize_series_agrees_with_closed_form():
     _, series = discretize(1e-7, a, b)
     closed = np.expm1(1e-7 * a[0]) / a[0] * b[0]
     assert abs(series[0] - closed) / abs(closed) < 1e-12
-
-
-def test_discretize_euler():
-    _, b_bar = discretize(0.25, np.array([-1.0]), np.array([3.0]), mode=EULER)
-    assert b_bar[0] == 0.75
 
 
 def test_discretize_stability():
@@ -149,6 +143,53 @@ def test_scan_causality():
     pert = scan(xp, a_bar, b_bar, c)
     np.testing.assert_array_equal(pert[:20], base[:20])
     assert np.any(pert[20:] != base[20:])
+
+
+def scan_reference(x, a_bar, b_bar, c, g):
+    """The per-token loops ``scan`` and ``scan_backward`` ran before the shared
+    kernel, kept as a bit-exact oracle: (y, gradients of sum_t g_t * y_t)."""
+    m = len(x)
+    a_bar, b_bar, c = (np.broadcast_to(p, (m, p.shape[-1])) for p in (a_bar, b_bar, c))
+    s = a_bar.shape[1]
+    y = np.empty(m)
+    states = np.empty((m, s))
+    h = np.zeros(s)
+    for t in range(m):
+        h = a_bar[t] * h + b_bar[t] * x[t]
+        states[t] = h
+        y[t] = c[t] @ h
+    dx = np.empty(m)
+    da_bar = np.empty((m, s))
+    db_bar = np.empty((m, s))
+    lam = np.zeros(s)
+    for t in range(m - 1, -1, -1):
+        lam = g[t] * c[t] + (a_bar[t + 1] * lam if t + 1 < m else 0.0)
+        prev = states[t - 1] if t > 0 else np.zeros(s)
+        da_bar[t] = lam * prev
+        db_bar[t] = lam * x[t]
+        dx[t] = lam @ b_bar[t]
+    return y, {"x": dx, "a_bar": da_bar, "b_bar": db_bar, "c": g[:, None] * states}
+
+
+@pytest.mark.parametrize("m,s", [(1, 1), (1, 5), (2, 3), (37, 4), (200, 16)])
+@pytest.mark.parametrize("constant", [False, True])
+def test_scan_and_backward_match_reference_loop(m, s, constant):
+    rng = rng_for(1000 * m + s)
+    shape = (s,) if constant else (m, s)
+    x = rng.normal(size=m)
+    # signed a_bar with exact zeros exercises -0.0 and sign flips in the state
+    a_bar = rng.uniform(-1.1, 1.1, size=shape)
+    a_bar[rng.uniform(size=shape) < 0.1] = 0.0
+    b_bar = rng.normal(size=shape)
+    c = rng.normal(size=shape)
+    g = rng.normal(size=m)
+    y_ref, grads_ref = scan_reference(x, a_bar, b_bar, c, g)
+    np.testing.assert_array_equal(scan(x, a_bar, b_bar, c), y_ref)
+    per_step = [np.broadcast_to(p, (m, s)) for p in (a_bar, b_bar, c)]
+    grads = scan_backward(x, *per_step, g)
+    assert grads.keys() == grads_ref.keys()
+    for name, ref in grads_ref.items():
+        np.testing.assert_array_equal(grads[name], ref, err_msg=name)
 
 
 # ------------------------------------------------------------------ conv_form
@@ -270,8 +311,6 @@ def test_selective_matches_per_token_loop():
     x = rng.normal(size=(m, d))
     got = selective_ssm(x, layer)
     # naive per-token reference, one channel at a time
-    from pcmamba.nn import softplus
-
     a = -np.exp(layer.a_log)
     h = np.zeros((d, s))
     expected = np.empty((m, d))
@@ -287,12 +326,39 @@ def test_selective_matches_per_token_loop():
     np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-12)
 
 
-def test_selective_exact_zoh_mode_runs():
+def selective_reference(u, layer):
+    """The segment loop ``selective_ssm`` ran before the shared kernel, kept as
+    a bit-exact oracle: (Di, S) parameters per token in segments of
+    262144 // (Di * S) rows, the state carried across segments."""
+    m, d_inner = u.shape
+    s = layer.state_size
+    dt = softplus(u @ layer.dt_down_w.T @ layer.dt_up_w.T + layer.dt_bias)
+    b_tok = u @ layer.b_proj_w.T
+    c_tok = u @ layer.c_proj_w.T
+    a = -np.exp(layer.a_log)
+    h = np.zeros((d_inner, s))
+    y = np.empty((m, d_inner))
+    seg = min(m, max(1, 262_144 // (d_inner * s)))
+    for start in range(0, m, seg):
+        end = min(start + seg, m)
+        dts = dt[start:end]
+        a_bar = np.exp(dts[:, :, None] * a[None, :, :])
+        bx = (dts * u[start:end])[:, :, None] * b_tok[start:end, None, :]
+        states = np.empty_like(a_bar)
+        for t in range(end - start):
+            h = a_bar[t] * h + bx[t]
+            states[t] = h
+        np.einsum("tds,ts->td", states, c_tok[start:end], out=y[start:end])
+    return y + layer.d_skip * u
+
+
+# (D, S, M): 600 rows at D=64, S=16 are segments of 256, 256 and 88 rows
+@pytest.mark.parametrize("d,s,m", [(64, 16, 600), (5, 3, 24), (8, 4, 1)])
+def test_selective_matches_segment_loop_bit_exactly(d, s, m):
     rng = rng_for(7)
-    layer = SelectiveSSMLayer.init(rng, 4, state_size=2)
-    x = rng.normal(size=(10, 4))
-    out = selective_ssm(x, layer, mode=EXACT_ZOH)
-    assert np.isfinite(out).all()
+    layer = SelectiveSSMLayer.init(rng, d, state_size=s)
+    u = rng.normal(size=(m, d))
+    np.testing.assert_array_equal(selective_ssm(u, layer), selective_reference(u, layer))
 
 
 # ---------------------------------------------------------------- mamba block
