@@ -1,8 +1,29 @@
-"""Invariant suites behind ``pcmamba verify`` (also reused by the tests).
+"""The invariants behind the paper's claims, each computed in exactly one place.
 
-Each check returns a CheckResult with the measured error and the tolerance
-it was held to; exact structural checks use a tolerance of 0 and report a
-violation count as the measurement.
+Each public function checks one invariant and returns a CheckResult with the
+measured error and its tolerance; exact structural checks use a tolerance of
+0 and report a violation count. What differs between callers is an argument:
+random streams (one Generator per trial, so a caller may draw all trials from
+one stream or seed each trial itself), shapes, data and models.
+
+``pcmamba verify`` runs the four suites at the end of the module. The
+acceptance criteria and the unit tests call the same functions with their own
+seeds and shapes instead of computing an invariant again:
+
+    criterion 1   cts_bijective, cts_snake, paper_literal_collides (grids 2-16)
+    criterion 2   axis_variant_identity
+    criterion 3   scan_equals_conv (one generator per seed 0-99)
+    criterion 4   zoh_exact_values (b = 3), zoh_series_matches_closed
+    criterion 5   adjoint_matches_finite_differences (seeds 300-319)
+    criterion 6   gam_sigma_matches_oracle, gam_unit_rms
+    criterion 7   classification_permutation_invariant,
+                  segmentation_permutation_equivariant (full pcm-tiny)
+    criterion 8   parameter_budget
+    criterion 11  probe_gradient_matches_finite_differences
+    criterion 12  seeded_build_deterministic
+
+Criteria 9 and 10 measure timings and calibrated locality ratios, not
+invariants, and stay in the test module.
 """
 
 from __future__ import annotations
@@ -16,14 +37,19 @@ from . import serialize as ser
 from . import ssm
 from .local import GAMParams, gam_normalize, gam_sigma
 from .model import (
+    PUBLISHED_SIZES,
+    TASK_CLASSIFICATION,
+    TASK_SEGMENTATION,
     ModelConfig,
     StageConfig,
-    TASK_SEGMENTATION,
+    _unfilled_model,
     build_model,
     count_parameters,
+    encode,
     forward_classification,
     forward_segmentation,
     preset_config,
+    softmax_xent_grad,
 )
 from .pointset import PointCloud, normalize_unit_cube
 
@@ -40,6 +66,15 @@ def _check(name, measured, tolerance):
     return CheckResult(name, bool(measured <= tolerance), float(measured), float(tolerance))
 
 
+def _differing(name, a, b):
+    """Exact equality of two arrays; measures the number of differing entries."""
+    return _check(name, int((np.asarray(a) != np.asarray(b)).sum()), 0)
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -49,79 +84,93 @@ def _full_grid(grid_n):
     return np.array(list(itertools.product(r, r, r)), dtype=np.int64)
 
 
-def serialization_checks(seed: int = 0):
-    results = []
-    for grid_n in (2, 4, 8, 16):
-        cells = _full_grid(grid_n)
-        dup_worst = 0
-        step_worst = 0
-        for name in ser.CTS_NAMES:
-            order = ser.order_from_name(name)
-            codes = ser.cts_code(cells, grid_n, order.axis_perm, order.mode)
-            dup_worst = max(dup_worst, grid_n**3 - len(np.unique(codes)))
-            walk = cells[np.argsort(codes)]
-            steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
-            step_worst = max(step_worst, int(np.abs(steps - 1).max()))
-        results.append(_check(f"cts_bijective_grid{grid_n}", dup_worst, 0))
-        results.append(_check(f"cts_snake_grid{grid_n}", step_worst, 0))
-        codes_paper = ser.cts_code(cells, grid_n, (0, 1, 2), ser.MODE_PAPER)
-        collisions = grid_n**3 - len(np.unique(codes_paper))
-        results.append(
-            CheckResult(
-                f"paper_literal_collides_grid{grid_n}", collisions > 0, collisions, 1.0
-            )
-        )
-    # axis-variant identity, exhaustive at grid 8
-    cells = _full_grid(8)
-    yxz = ser.cts_code(cells, 8, ser.order_from_name("yxz").axis_perm)
-    xyz_swapped = ser.cts_code(cells[:, (1, 0, 2)], 8, ser.order_from_name("xyz").axis_perm)
-    results.append(_check("axis_variant_identity_grid8", int((yxz != xyz_swapped).sum()), 0))
-    # hilbert and morton bijectivity; hilbert adjacency
-    cells = _full_grid(4)
-    hc = ser.hilbert_code(cells, 4)
-    results.append(_check("hilbert_bijective_grid4", 64 - len(np.unique(hc)), 0))
-    walk = cells[np.argsort(hc)]
-    steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
-    results.append(_check("hilbert_unit_steps_grid4", int(np.abs(steps - 1).max()), 0))
-    mc = ser.morton_code(cells, 4)
-    results.append(_check("morton_bijective_grid4", 64 - len(np.unique(mc)), 0))
-    # serialization is a pure function of geometry
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cloud = PointCloud(rng.uniform(0, 1, size=(256, 3)))
-    nc = normalize_unit_cube(cloud)
-    shuffled = PointCloud(cloud.coords[rng.permutation(256)])
-    ns = normalize_unit_cube(shuffled)
+def _duplicates(codes):
+    return len(codes) - len(np.unique(codes))
+
+
+def _step_error(cells, codes):
+    """Largest deviation from an L1 step of one along the walk in code order."""
+    steps = np.abs(np.diff(cells[np.argsort(codes)], axis=0)).sum(axis=1)
+    return int(np.abs(steps - 1).max())
+
+
+def _cts(cells, grid_n, name):
+    order = ser.order_from_name(name)
+    return ser.cts_code(cells, grid_n, order.axis_perm, order.mode)
+
+
+def cts_bijective(grid_n, names=ser.CTS_NAMES):
+    cells = _full_grid(grid_n)
+    worst = max(_duplicates(_cts(cells, grid_n, name)) for name in names)
+    return _check(f"cts_bijective_grid{grid_n}", worst, 0)
+
+
+def cts_snake(grid_n, names=ser.CTS_NAMES):
+    cells = _full_grid(grid_n)
+    worst = max(_step_error(cells, _cts(cells, grid_n, name)) for name in names)
+    return _check(f"cts_snake_grid{grid_n}", worst, 0)
+
+
+def paper_literal_collides(grid_n):
+    """Passes when the paper's literal pairing code gives two cells one code."""
+    collisions = _duplicates(ser.cts_code(_full_grid(grid_n), grid_n, (0, 1, 2), ser.MODE_PAPER))
+    return CheckResult(f"paper_literal_collides_grid{grid_n}", collisions > 0, collisions, 1.0)
+
+
+def axis_variant_identity(grid_n=8):
+    """yxz(a, b, c) == xyz(b, a, c) on every cell."""
+    cells = _full_grid(grid_n)
+    yxz, swapped = _cts(cells, grid_n, "yxz"), _cts(cells[:, (1, 0, 2)], grid_n, "xyz")
+    return _differing(f"axis_variant_identity_grid{grid_n}", yxz, swapped)
+
+
+def hilbert_bijective(grid_n=4):
+    codes = ser.hilbert_code(_full_grid(grid_n), grid_n)
+    return _check(f"hilbert_bijective_grid{grid_n}", _duplicates(codes), 0)
+
+
+def hilbert_unit_steps(grid_n=4):
+    cells = _full_grid(grid_n)
+    codes = ser.hilbert_code(cells, grid_n)
+    return _check(f"hilbert_unit_steps_grid{grid_n}", _step_error(cells, codes), 0)
+
+
+def morton_bijective(grid_n=4):
+    codes = ser.morton_code(_full_grid(grid_n), grid_n)
+    return _check(f"morton_bijective_grid{grid_n}", _duplicates(codes), 0)
+
+
+def serialize_pure_function(rng, n=256, grid_n=32):
+    """Every order visits the same coordinates for a cloud and a shuffled copy."""
+    coords = rng.uniform(0, 1, size=(n, 3))
+    nc = normalize_unit_cube(PointCloud(coords))
+    ns = normalize_unit_cube(PointCloud(coords[rng.permutation(n)]))
     mismatch = 0
     for name in ser.ORDER_NAMES:
         order = ser.order_from_name(name)
-        a = nc.cloud.coords[ser.serialize(nc, order, 32)]
-        b = ns.cloud.coords[ser.serialize(ns, order, 32)]
+        a = nc.cloud.coords[ser.serialize(nc, order, grid_n)]
+        b = ns.cloud.coords[ser.serialize(ns, order, grid_n)]
         mismatch += int(not np.array_equal(a, b))
-    results.append(_check("serialize_pure_function_of_geometry", mismatch, 0))
-    # refinement 2 -> 4 preserves distinctions: distinct coarse codes stay
-    # distinct, and sharing a fine cell implies sharing the coarse cell
-    pts = rng.uniform(0, 1, size=(200, 3))
-    nc = normalize_unit_cube(PointCloud(pts))
+    return _check("serialize_pure_function_of_geometry", mismatch, 0)
+
+
+def refinement_preserves_distinction(rng, n=200):
+    """Points sharing a grid-4 cell share their grid-2 cell."""
+    nc = normalize_unit_cube(PointCloud(rng.uniform(0, 1, size=(n, 3))))
     coarse = ser.cts_code(ser.grid_quantize(nc, 2).cells, 2)
     fine = ser.cts_code(ser.grid_quantize(nc, 4).cells, 4)
-    merged = 0
-    for i in range(len(pts)):
-        same_fine = fine == fine[i]
-        merged += int(np.any(same_fine & (coarse != coarse[i])))
-    results.append(_check("refinement_preserves_distinction", merged, 0))
-    return results
+    merged = sum(int(np.any((fine == f) & (coarse != c))) for f, c in zip(fine, coarse))
+    return _check("refinement_preserves_distinction", merged, 0)
 
 
 # ---------------------------------------------------------------------------
 # ssm
 
 
-def ssm_checks(seed: int = 0):
-    results = []
-    rng = np.random.Generator(np.random.PCG64(seed))
-    # duality of the recurrence and the global convolution
+def scan_equals_conv(trials):
+    """Recurrence vs global convolution, one random LTI system per generator."""
     worst = 0.0
-    for _ in range(100):
+    for rng in trials:
         s = int(rng.integers(1, 17))
         m = int(rng.integers(1, 257))
         system = ssm.LTISystem(
@@ -132,186 +181,259 @@ def ssm_checks(seed: int = 0):
         )
         x = rng.normal(size=m)
         a_bar, b_bar = system.discretize()
-        worst = max(
-            worst,
-            float(np.abs(ssm.scan(x, a_bar, b_bar, system.c) - ssm.conv_form(x, system)).max()),
-        )
-    results.append(_check("scan_equals_conv", worst, 1e-6))
-    # exact discretization values
-    a_bar, b_bar = ssm.discretize(np.log(2.0), np.array([-1.0]), np.array([1.0]))
-    err = max(abs(a_bar[0] - 0.5), abs(b_bar[0] - 0.5))
-    results.append(_check("zoh_exact_values", err, 1e-12))
-    # series branch vs closed form at |dt*a| = 1e-7
+        diff = np.abs(ssm.scan(x, a_bar, b_bar, system.c) - ssm.conv_form(x, system))
+        worst = max(worst, float(diff.max()))
+    return _check("scan_equals_conv", worst, 1e-6)
+
+
+def zoh_exact_values(b=1.0):
+    """dt = ln 2 and a = -1 give a_bar = 1/2 and b_bar = b/2."""
+    a_bar, b_bar = ssm.discretize(np.log(2.0), np.array([-1.0]), np.array([b]))
+    return _check("zoh_exact_values", max(abs(a_bar[0] - 0.5), abs(b_bar[0] - 0.5 * b)), 1e-15)
+
+
+def zoh_series_matches_closed():
+    """The series branch at |dt*a| = 1e-7 agrees with expm1(z)/z."""
     _, series = ssm.discretize(1e-7, np.array([1.0]), np.array([1.0]))
-    closed = np.expm1(1e-7) / 1.0
-    results.append(_check("zoh_series_matches_closed", abs(series[0] - closed) / closed, 1e-12))
-    # stability: a < 0 implies |a_bar| < 1
-    a = rng.uniform(-50.0, -1e-6, size=1000)
-    dt = rng.uniform(1e-6, 10.0, size=1000)
-    a_bar, _ = ssm.discretize(dt, a, np.ones(1000))
-    results.append(_check("discretization_stability", int((np.abs(a_bar) >= 1).sum()), 0))
-    # adjoint against central finite differences
+    closed = np.expm1(1e-7)
+    return _check("zoh_series_matches_closed", abs(series[0] - closed) / closed, 1e-12)
+
+
+def discretization_stability(rng, n=1000):
+    """a < 0 implies |a_bar| < 1."""
+    a = rng.uniform(-50.0, -1e-6, size=n)
+    dt = rng.uniform(1e-6, 10.0, size=n)
+    a_bar, _ = ssm.discretize(dt, a, np.ones(n))
+    return _check("discretization_stability", int((np.abs(a_bar) >= 1).sum()), 0)
+
+
+def adjoint_matches_finite_differences(trials, m=32, s=8, h=1e-5):
+    """scan_backward vs central finite differences of g . scan(x, a_bar, b_bar, c)
+    in every coordinate, one random problem per generator. The 2 * (M + 3MS)
+    perturbed problems of a trial run as one recurrence along the batch axis
+    of ``ssm._recur``."""
     worst = 0.0
-    for _ in range(20):
-        m, s = 32, 8
+    for rng in trials:
         x = rng.normal(size=m)
         a_bar = rng.uniform(0.2, 0.99, size=(m, s))
         b_bar = rng.normal(size=(m, s))
         c = rng.normal(size=(m, s))
         g = rng.normal(size=m)
         grads = ssm.scan_backward(x, a_bar, b_bar, c, g)
-        h = 1e-5
-        params = {"x": x, "a_bar": a_bar, "b_bar": b_bar, "c": c}
-        for name, arr in params.items():
-            flat = arr.reshape(-1)
-            fd = np.empty(flat.size)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + h
-                up = float(g @ ssm.scan(x, a_bar, b_bar, c))
-                flat[i] = keep - h
-                down = float(g @ ssm.scan(x, a_bar, b_bar, c))
-                flat[i] = keep
-                fd[i] = (up - down) / (2 * h)
-            rel = np.abs(grads[name].reshape(-1) - fd) / (1.0 + np.abs(fd))
-            worst = max(worst, float(rel.max()))
-    results.append(_check("adjoint_matches_finite_differences", worst, 1e-4))
-    # linearity in x (exact)
-    m, s = 64, 4
-    x = rng.normal(size=m)
-    a_bar = rng.uniform(0.2, 0.95, size=(m, s))
-    b_bar = rng.normal(size=(m, s))
-    c = rng.normal(size=(m, s))
+        # column i moves coordinate i of (x, a_bar, b_bar, c) by +h, column n + i by -h
+        theta = np.concatenate([x, a_bar.ravel(), b_bar.ravel(), c.ravel()])
+        n = theta.size
+        batch = np.concatenate([theta + h * np.eye(n), theta - h * np.eye(n)]).T
+        xs = batch[:m]  # (M, 2n)
+        a_bars, b_bars, cs = batch[m:].reshape(3, m, s, 2 * n).transpose(0, 1, 3, 2)
+        states = np.empty(a_bars.shape)  # (M, 2n, S)
+        ssm._recur(a_bars, b_bars * xs[:, :, None], np.zeros(a_bars.shape[1:]), states)
+        loss = g @ np.einsum("tps,tps->tp", cs, states)
+        fd = (loss[:n] - loss[n:]) / (2 * h)
+        grad = np.concatenate([grads[k].ravel() for k in ("x", "a_bar", "b_bar", "c")])
+        worst = max(worst, float((np.abs(grad - fd) / (1.0 + np.abs(fd))).max()))
+    return _check("adjoint_matches_finite_differences", worst, 1e-4)
+
+
+def scan_linearity_exact(x, a_bar, b_bar, c):
+    """scan(2x) == 2 scan(x) bit for bit."""
     lin = np.abs(ssm.scan(2.0 * x, a_bar, b_bar, c) - 2.0 * ssm.scan(x, a_bar, b_bar, c))
-    results.append(_check("scan_linearity_exact", float(lin.max()), 0.0))
-    # causality: a later perturbation never reaches earlier outputs
-    y0 = ssm.scan(x, a_bar, b_bar, c)
+    return _check("scan_linearity_exact", float(lin.max()), 0.0)
+
+
+def scan_causality(x, a_bar, b_bar, c):
+    """A perturbation at the middle step never reaches earlier outputs."""
+    half = len(x) // 2
     xp = x.copy()
-    xp[m // 2] += 10.0
-    y1 = ssm.scan(xp, a_bar, b_bar, c)
-    results.append(
-        _check("scan_causality", float(np.abs(y1[: m // 2] - y0[: m // 2]).max()), 0.0)
-    )
-    # determinism of the full block
-    layer = ssm.SelectiveSSMLayer.init(np.random.Generator(np.random.PCG64(seed)), 16)
-    tokens = np.random.Generator(np.random.PCG64(seed + 1)).normal(size=(40, 16))
-    same = np.array_equal(ssm.mamba_block(tokens, layer), ssm.mamba_block(tokens, layer))
-    results.append(CheckResult("mamba_block_deterministic", same, 0.0 if same else 1.0, 0.0))
-    return results
+    xp[half] += 10.0
+    diff = np.abs(ssm.scan(xp, a_bar, b_bar, c)[:half] - ssm.scan(x, a_bar, b_bar, c)[:half])
+    return _check("scan_causality", float(diff.max()), 0.0)
+
+
+def mamba_block_deterministic(seed):
+    layer = ssm.SelectiveSSMLayer.init(_rng(seed), 16)
+    tokens = _rng(seed + 1).normal(size=(40, 16))
+    first, second = ssm.mamba_block(tokens, layer), ssm.mamba_block(tokens, layer)
+    return _differing("mamba_block_deterministic", first, second)
 
 
 # ---------------------------------------------------------------------------
 # gam
 
 
-def gam_checks(seed: int = 0):
-    results = []
-    rng = np.random.Generator(np.random.PCG64(seed))
-    neigh = rng.normal(size=(20, 8, 6))
-    centers = rng.normal(size=(20, 6))
-    # triple-loop oracle for sigma
+def gam_sigma_matches_oracle(neigh, centers):
+    """gam_sigma of (M, K, D) neighbourhoods equals a scalar triple loop."""
     acc = 0.0
-    m, k, d = neigh.shape
-    for i in range(m):
-        for j in range(k):
-            for q in range(d):
-                acc += (neigh[i, j, q] - centers[i, q]) ** 2
-    oracle = np.sqrt(acc / (m * k * d))
-    results.append(
-        _check("gam_sigma_matches_oracle", abs(gam_sigma(neigh, centers) - oracle), 1e-7)
-    )
-    # unit RMS with alpha=1, beta=0, delta -> 0
-    params = GAMParams(alpha=np.ones(d), beta=None, delta=1e-300)
-    out = gam_normalize(neigh, centers, params)
-    rms = float(np.sqrt((out * out).mean()))
-    results.append(_check("gam_unit_rms", abs(rms - 1.0), 1e-6))
-    # alpha linearity
-    p2 = GAMParams(alpha=np.full(d, 2.0), beta=None, delta=1e-300)
-    doubled = gam_normalize(neigh, centers, p2)
-    results.append(_check("gam_alpha_linearity", float(np.abs(doubled - 2 * out).max()), 0.0))
-    # neighbors equal to centers give exactly beta
-    beta = rng.normal(size=d)
-    pb = GAMParams(alpha=np.ones(d), beta=beta, delta=1e-5)
-    same = np.broadcast_to(centers[:, None, :], neigh.shape)
-    out_b = gam_normalize(same, centers, pb)
-    results.append(
-        _check("gam_degenerate_gives_beta", float(np.abs(out_b - beta).max()), 0.0)
-    )
-    return results
+    for i, j, q in np.ndindex(neigh.shape):
+        acc += (neigh[i, j, q] - centers[i, q]) ** 2
+    oracle = np.sqrt(acc / neigh.size)
+    return _check("gam_sigma_matches_oracle", abs(gam_sigma(neigh, centers) - oracle), 1e-7)
 
 
-def _small_config(task=None, num_classes=3, seed=0):
-    stages = (
-        StageConfig(channels=16, num_layers=1, serializations=("xyz",), points=64, k_neighbors=8),
-        StageConfig(channels=16, num_layers=1, serializations=("xzy",), points=32, k_neighbors=8),
-        StageConfig(channels=32, num_layers=1, serializations=("z",), points=16, k_neighbors=8),
-        StageConfig(channels=32, num_layers=1, serializations=("hilbert",), points=8, k_neighbors=4),
-    )
-    kwargs = dict(stages=stages, n_p=2, grid_n=16, num_classes=num_classes, seed=seed)
-    if task is not None:
-        kwargs["task"] = task
-    return ModelConfig(**kwargs)
+def _unit_gam(d, alpha=1.0):
+    return GAMParams(alpha=np.full(d, alpha), beta=None, delta=1e-300)
+
+
+def gam_unit_rms(neigh, centers):
+    """With alpha = 1, beta = 0 and delta -> 0 the output has unit RMS."""
+    out = gam_normalize(neigh, centers, _unit_gam(neigh.shape[2]))
+    return _check("gam_unit_rms", abs(float(np.sqrt((out * out).mean())) - 1.0), 1e-6)
+
+
+def gam_alpha_linearity(neigh, centers):
+    one = gam_normalize(neigh, centers, _unit_gam(neigh.shape[2]))
+    two = gam_normalize(neigh, centers, _unit_gam(neigh.shape[2], 2.0))
+    return _check("gam_alpha_linearity", float(np.abs(two - 2 * one).max()), 0.0)
+
+
+def gam_degenerate_gives_beta(centers, k, beta):
+    """K neighbours equal to their centre normalize to exactly beta."""
+    same = np.broadcast_to(centers[:, None, :], (len(centers), k, len(beta)))
+    out = gam_normalize(same, centers, GAMParams(alpha=np.ones(len(beta)), beta=beta))
+    return _check("gam_degenerate_gives_beta", float(np.abs(out - beta).max()), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # model
 
 
-def model_checks(seed: int = 0):
-    results = []
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cloud = PointCloud(rng.uniform(0.0, 1.0, size=(1024, 3)))
-    model = build_model(preset_config("pcm-tiny", num_classes=5, seed=seed))
-    logits = forward_classification(model, cloud)
-    shuffled = PointCloud(cloud.coords[rng.permutation(1024)])
-    logits_shuffled = forward_classification(model, shuffled)
-    exact = np.array_equal(logits, logits_shuffled)
-    results.append(
-        CheckResult("classification_permutation_invariant", exact, 0.0 if exact else 1.0, 0.0)
+def _small_config(task=TASK_CLASSIFICATION, seed=0):
+    stages = tuple(
+        StageConfig(channels=c, num_layers=1, serializations=(name,), points=p, k_neighbors=k)
+        for c, name, p, k in zip(
+            (16, 16, 32, 32), ("xyz", "xzy", "z", "hilbert"), (64, 32, 16, 8), (8, 8, 8, 4)
+        )
     )
+    return ModelConfig(stages=stages, n_p=2, grid_n=16, task=task, num_classes=3, seed=seed)
+
+
+def classification_permutation_invariant(model, coords, perm):
+    logits = forward_classification(model, PointCloud(coords))
+    shuffled = forward_classification(model, PointCloud(coords[perm]))
+    return _differing("classification_permutation_invariant", shuffled, logits)
+
+
+def segmentation_permutation_equivariant(model, coords, perm):
+    seg = forward_segmentation(model, PointCloud(coords))
+    shuffled = forward_segmentation(model, PointCloud(coords[perm]))
+    return _differing("segmentation_permutation_equivariant", shuffled, seg[perm])
+
+
+def stage_token_counts(model, cloud, wanted):
+    counts = [len(f) for f in encode(model, cloud).stage_feats]
+    return _check("stage_token_counts", int(counts != list(wanted)), 0)
+
+
+def activations_finite(model, seeds, n=64):
+    """Logits are finite on one uniform n-point cloud per seed."""
+    bad = 0
+    for seed in seeds:
+        cloud = PointCloud(_rng(seed).uniform(0.0, 1.0, size=(n, 3)))
+        bad += int(not np.isfinite(forward_classification(model, cloud)).all())
+    return _check(f"activations_finite_{len(seeds)}_clouds", bad, 0)
+
+
+def seeded_build_deterministic(config, cloud):
+    """Two builds of a classification config: same parameters, same logits."""
+    m1, m2 = build_model(config), build_model(config)
+    same = all(np.array_equal(a, b) for (_, a), (_, b) in zip(m1.named_params(), m2.named_params()))
+    logits = forward_classification(m1, cloud), forward_classification(m2, cloud)
+    return _check("seeded_build_deterministic", 0.0 if same and np.array_equal(*logits) else 1.0, 0)
+
+
+def parameter_budget(preset):
+    """The preset's parameter count is within 15% of the published size."""
+    count = count_parameters(_unfilled_model(preset_config(preset)))
+    deviation = abs(count / PUBLISHED_SIZES[preset][0] - 1.0)
+    return _check(f"params_{preset.replace('-', '_')}_within_15pct", deviation, 0.15)
+
+
+def probe_gradient_matches_finite_differences(rng, rows=40, features=6, classes=3, h=1e-6):
+    """softmax_xent_grad vs central finite differences in every weight and bias."""
+    x = rng.normal(size=(rows, features))
+    y = rng.integers(0, classes, size=rows)
+    w = rng.normal(size=(classes, features)) * 0.1
+    b = rng.normal(size=classes) * 0.1
+    _, gw, gb = softmax_xent_grad(w, b, x, y)
+    worst = 0.0
+    for arr, grad in ((w, gw), (b, gb)):
+        for i in np.ndindex(arr.shape):
+            keep = arr[i]
+            arr[i] = keep + h
+            up = softmax_xent_grad(w, b, x, y)[0]
+            arr[i] = keep - h
+            down = softmax_xent_grad(w, b, x, y)[0]
+            arr[i] = keep
+            fd = (up - down) / (2 * h)
+            worst = max(worst, abs(grad[i] - fd) / (1.0 + abs(fd)))
+    return _check("probe_gradient_matches_finite_differences", worst, 1e-5)
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+
+def serialization_checks(seed: int = 0):
+    rng = _rng(seed)
+    per_grid = (cts_bijective, cts_snake, paper_literal_collides)
+    return [check(grid_n) for grid_n in (2, 4, 8, 16) for check in per_grid] + [
+        axis_variant_identity(8),
+        hilbert_bijective(4),
+        hilbert_unit_steps(4),
+        morton_bijective(4),
+        serialize_pure_function(rng),
+        refinement_preserves_distinction(rng),
+    ]
+
+
+def ssm_checks(seed: int = 0):
+    rng = _rng(seed)
+    results = [
+        scan_equals_conv(itertools.repeat(rng, 100)),
+        zoh_exact_values(),
+        zoh_series_matches_closed(),
+        discretization_stability(rng),
+        adjoint_matches_finite_differences(itertools.repeat(rng, 20)),
+    ]
+    m, s = 64, 4
+    x = rng.normal(size=m)
+    a_bar = rng.uniform(0.2, 0.95, size=(m, s))
+    scan_args = (x, a_bar, rng.normal(size=(m, s)), rng.normal(size=(m, s)))
+    return results + [
+        scan_linearity_exact(*scan_args),
+        scan_causality(*scan_args),
+        mamba_block_deterministic(seed),
+    ]
+
+
+def gam_checks(seed: int = 0):
+    rng = _rng(seed)
+    hood = rng.normal(size=(20, 8, 6)), rng.normal(size=(20, 6))
+    return [
+        gam_sigma_matches_oracle(*hood),
+        gam_unit_rms(*hood),
+        gam_alpha_linearity(*hood),
+        gam_degenerate_gives_beta(hood[1], 8, rng.normal(size=6)),
+    ]
+
+
+def model_checks(seed: int = 0):
+    rng = _rng(seed)
+    coords = rng.uniform(0.0, 1.0, size=(1024, 3))
+    model = build_model(preset_config("pcm-tiny", num_classes=5, seed=seed))
+    results = [classification_permutation_invariant(model, coords, rng.permutation(1024))]
     # segmentation equivariance on a smaller config for speed
     seg_model = build_model(_small_config(task=TASK_SEGMENTATION, seed=seed))
-    small = PointCloud(rng.uniform(0.0, 1.0, size=(128, 3)))
-    perm = rng.permutation(128)
-    seg = forward_segmentation(seg_model, small)
-    seg_perm = forward_segmentation(seg_model, PointCloud(small.coords[perm]))
-    exact = np.array_equal(seg_perm, seg[perm])
-    results.append(
-        CheckResult("segmentation_permutation_equivariant", exact, 0.0 if exact else 1.0, 0.0)
-    )
-    # token counts follow the configured schedule
-    from .model import encode
-
-    enc = encode(model, cloud)
-    counts = [len(f) for f in enc.stage_feats]
-    wanted = [1024, 512, 256, 128]
-    results.append(_check("stage_token_counts", int(counts != wanted), 0))
-    # finite activations over 100 seeded clouds on a small config
-    small_model = build_model(_small_config(seed=seed))
-    bad = 0
-    for i in range(100):
-        r = np.random.Generator(np.random.PCG64(1000 + i))
-        c = PointCloud(r.uniform(0.0, 1.0, size=(64, 3)))
-        out = forward_classification(small_model, c)
-        bad += int(not np.isfinite(out).all())
-    results.append(_check("activations_finite_100_clouds", bad, 0))
-    # determinism of seeded builds
-    m1 = build_model(_small_config(seed=seed))
-    m2 = build_model(_small_config(seed=seed))
-    same = all(np.array_equal(a, b) for (_, a), (_, b) in zip(m1.named_params(), m2.named_params()))
-    out_same = same and np.array_equal(
-        forward_classification(m1, cloud.select(np.arange(200))),
-        forward_classification(m2, cloud.select(np.arange(200))),
-    )
-    results.append(
-        CheckResult("seeded_build_deterministic", out_same, 0.0 if out_same else 1.0, 0.0)
-    )
-    # parameter budgets versus the published sizes
-    tiny = count_parameters(build_model(preset_config("pcm-tiny")))
-    full = count_parameters(build_model(preset_config("pcm")))
-    results.append(_check("params_pcm_tiny_within_15pct", abs(tiny / 6.9e6 - 1.0), 0.15))
-    results.append(_check("params_pcm_within_15pct", abs(full / 34.2e6 - 1.0), 0.15))
-    return results
+    small = rng.uniform(0.0, 1.0, size=(128, 3))
+    results.append(segmentation_permutation_equivariant(seg_model, small, rng.permutation(128)))
+    cloud = PointCloud(coords)
+    return results + [
+        stage_token_counts(model, cloud, [1024, 512, 256, 128]),
+        activations_finite(build_model(_small_config(seed=seed)), range(1000, 1100)),
+        seeded_build_deterministic(_small_config(seed=seed), cloud.select(np.arange(200))),
+        parameter_budget("pcm-tiny"),
+        parameter_budget("pcm"),
+    ]
 
 
 SUITES = {
@@ -324,10 +446,7 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0):
     if name == "all":
-        out = []
-        for key in ("serialization", "ssm", "gam", "model"):
-            out.extend(SUITES[key](seed))
-        return out
+        return [res for suite in SUITES.values() for res in suite(seed)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(SUITES)} or all")
     return SUITES[name](seed)

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .io import generate_shape, load_weights, read_xyz
 from .model import (
+    PUBLISHED_SIZES,
     ModelConfig,
     StageConfig,
     build_model,
@@ -52,9 +53,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-# paper-reported totals for the presets: (params, multiply-accumulates at 1024 pts)
-_PUBLISHED = {"pcm-tiny": (6.9e6, 11.0e9), "pcm": (34.2e6, 45.0e9)}
 
 
 class UsageError(Exception):
@@ -384,8 +382,8 @@ def cmd_inspect(args) -> int:
     flops = estimate_flops(model, args.n)
     lines.append(f"flops.n_points={args.n}")
     lines.append(f"flops.total_mac={flops}")
-    if args.config in _PUBLISHED:
-        pub_params, pub_flops = _PUBLISHED[args.config]
+    if args.config in PUBLISHED_SIZES:
+        pub_params, pub_flops = PUBLISHED_SIZES[args.config]
         lines.append(f"published.params={int(pub_params)}")
         lines.append(f"published.flops={int(pub_flops)}")
         lines.append(f"params.ratio_to_published={_fmt(total / pub_params)}")

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .nn import AffineMap
 
+# standard deviation of the normal draw that initializes each order prompt
+PROMPT_INIT_SCALE = 0.02
+
 
 @dataclass
 class PositionalMap:
@@ -57,10 +60,9 @@ class OrderPromptBank:
         stage_widths,
         n_p: int = 6,
         native_width: int = 64,
-        init_scale: float = 0.02,
     ):
         prompts = {
-            name: rng.normal(0.0, init_scale, size=(n_p, native_width))
+            name: rng.normal(0.0, PROMPT_INIT_SCALE, size=(n_p, native_width))
             for name in order_names
         }
         proj = [AffineMap.init(rng, native_width, d) for d in stage_widths]

@@ -63,7 +63,10 @@ def read_xyz(path) -> PointCloud:
     if not coords:
         raise InvalidInputError(f"{path}: no points found")
     features = np.asarray(feats) if feats and len(feats[0]) else None
-    return PointCloud(coords=np.asarray(coords), features=features)
+    try:
+        return PointCloud(coords=np.asarray(coords), features=features)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def write_xyz(cloud: PointCloud, path) -> None:
@@ -209,20 +212,6 @@ def _read_tensor(fh, path, name, dtype, offset, out):
     if not np.isfinite(out).all():
         raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf")
     return out
-
-
-def read_archive(path) -> dict:
-    """Read a weight archive into an ordered name -> array mapping.
-
-    Malformed headers, payloads that overrun the file and non-finite values
-    raise FormatError.
-    """
-    with open(path, "rb") as fh:
-        layout = _scan_archive(fh, path)
-        return {
-            name: _read_tensor(fh, path, name, dtype, offset, np.empty(dims, dtype))
-            for name, (dtype, dims, offset) in layout.items()
-        }
 
 
 def load_weights(path, config):

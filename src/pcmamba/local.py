@@ -40,12 +40,8 @@ class GAMParams:
             raise ValueError("delta must be positive")
 
     @classmethod
-    def init(cls, d: int, delta: float = 1e-5, with_beta: bool = True):
-        return cls(
-            alpha=np.ones(d),
-            beta=np.zeros(d) if with_beta else None,
-            delta=delta,
-        )
+    def init(cls, d: int):
+        return cls(alpha=np.ones(d), beta=np.zeros(d))
 
     def named_params(self, prefix: str):
         yield f"{prefix}.alpha", self.alpha

@@ -128,6 +128,10 @@ _PRESETS = {
 
 POINT_SCHEDULE = (1024, 512, 256, 128)
 
+# Sizes the paper reports for the presets: (parameters, multiply-accumulates
+# for one 1024-point forward pass).
+PUBLISHED_SIZES = {"pcm-tiny": (6.9e6, 11.0e9), "pcm": (34.2e6, 45.0e9)}
+
 
 def preset_config(
     name: str,
@@ -209,10 +213,9 @@ class Model:
             yield from self.decoder.named_params("decoder")
 
 
-def build_model(config: ModelConfig, seed: int | None = None) -> Model:
-    """Deterministically initialize all parameters for the given config."""
-    rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
-    return _assemble(config, rng)
+def build_model(config: ModelConfig) -> Model:
+    """Deterministically initialize all parameters from ``config.seed``."""
+    return _assemble(config, np.random.Generator(np.random.PCG64(config.seed)))
 
 
 class _NoDraw:

@@ -40,6 +40,8 @@ class PointCloud:
                     f"features must have one row per point, got {feats.shape} "
                     f"for {coords.shape[0]} points"
                 )
+            if not np.isfinite(feats).all():
+                raise InvalidInputError("features contain NaN or Inf")
             object.__setattr__(self, "features", feats)
         if self.labels is not None:
             labels = np.ascontiguousarray(self.labels, dtype=np.int64)

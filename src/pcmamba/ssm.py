@@ -27,6 +27,11 @@ from .nn import rms_norm, silu, softplus, softplus_inverse
 # below this |dt * a| the ZOH input factor switches to its Taylor series
 _ZOH_SERIES_CUTOFF = 1e-6
 
+# softplus(dt_bias) of a new selective layer spans [DT_MIN, DT_MAX]
+# log-uniformly across channels
+DT_MIN = 1e-3
+DT_MAX = 1e-1
+
 
 def discretize(dt, a, b):
     """Zero-order-hold discretization of diagonal continuous parameters (a, b).
@@ -181,10 +186,6 @@ class LTISystem:
             raise ValueError("system parameters must be finite")
         self.a, self.b, self.c = a, b, c
 
-    @property
-    def state_size(self) -> int:
-        return self.a.shape[0]
-
     def discretize(self):
         return discretize(self.dt, self.a, self.b)
 
@@ -217,20 +218,12 @@ class SelectiveSSMLayer:
             raise ValueError("a_log must be finite so A = -exp(a_log) is negative")
 
     @property
-    def d_model(self) -> int:
-        return self.out_proj_w.shape[0]
-
-    @property
     def d_inner(self) -> int:
         return self.out_proj_w.shape[1]
 
     @property
     def state_size(self) -> int:
         return self.a_log.shape[1]
-
-    @property
-    def conv_width(self) -> int:
-        return self.conv_w.shape[1]
 
     @classmethod
     def init(
@@ -240,8 +233,6 @@ class SelectiveSSMLayer:
         state_size: int = 16,
         expand: int = 1,
         conv_width: int = 4,
-        dt_min: float = 1e-3,
-        dt_max: float = 1e-1,
     ):
         d_inner = expand * d_model
         rank = max(1, d_model // 16)
@@ -250,10 +241,7 @@ class SelectiveSSMLayer:
             limit = 1.0 / np.sqrt(fan_in)
             return rng.uniform(-limit, limit, size=shape)
 
-        # softplus(dt_bias) spans [dt_min, dt_max] log-uniformly across channels
-        targets = np.exp(
-            np.linspace(np.log(dt_min), np.log(dt_max), d_inner)
-        )
+        targets = np.exp(np.linspace(np.log(DT_MIN), np.log(DT_MAX), d_inner))
         return cls(
             norm_scale=np.ones(d_model),
             in_proj_w=uniform((2 * d_inner, d_model), d_model),

@@ -1,28 +1,27 @@
 """Acceptance criteria, one test per criterion, one printed line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the pass/fail lines.
-Thresholds that the criteria leave to a one-time calibration run are frozen
-here as constants with the measured values recorded next to them.
+Criteria 1-8, 11 and 12 call the invariant checks in ``pcmamba.checks``
+with their own seeds and shapes; the criteria add only their time budgets
+and report lines. Thresholds that the criteria leave to a one-time
+calibration run are frozen here as constants with the measured values
+recorded next to them.
 """
 
-import itertools
 import time
 
 import numpy as np
+from pcmamba import checks
 from pcmamba import serialize as ser
-from pcmamba import ssm
 from pcmamba.cli import run_bench, run_probe
 from pcmamba.io import save_weights, load_weights
-from pcmamba.local import GAMParams, gam_normalize, gam_sigma
 from pcmamba.model import (
+    PUBLISHED_SIZES,
     TASK_SEGMENTATION,
+    _unfilled_model,
     build_model,
-    count_parameters,
     estimate_flops,
-    forward_classification,
-    forward_segmentation,
     preset_config,
-    softmax_xent_grad,
 )
 from pcmamba.pointset import PointCloud, normalize_unit_cube
 
@@ -48,161 +47,98 @@ def _report(num, desc, ok, detail=""):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _full_grid(n):
-    r = range(n)
-    return np.array(list(itertools.product(r, r, r)), dtype=np.int64)
+def _rngs(seeds):
+    return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+
+
+def _failed(results):
+    return [f"{r.name} measured {r.measured:.3g}" for r in results if not r.passed]
 
 
 def test_criterion_01_bijectivity_and_snake():
     t0 = time.perf_counter()
-    ok = True
-    detail = []
-    for grid_n in (2, 4, 8, 16):
-        cells = _full_grid(grid_n)
-        for name in ser.CTS_NAMES:
-            order = ser.order_from_name(name)
-            codes = ser.cts_code(cells, grid_n, order.axis_perm)
-            if len(np.unique(codes)) != grid_n**3:
-                ok = False
-                detail.append(f"duplicates at grid {grid_n} {name}")
-            steps = np.abs(np.diff(cells[np.argsort(codes)], axis=0)).sum(axis=1)
-            if not np.all(steps == 1):
-                ok = False
-                detail.append(f"non-unit step at grid {grid_n} {name}")
-        paper = ser.cts_code(cells, grid_n, (0, 1, 2), ser.MODE_PAPER)
-        if len(np.unique(paper)) >= grid_n**3:
-            ok = False
-            detail.append(f"paper mode did not collide at grid {grid_n}")
+    results = [
+        check(grid_n)
+        for grid_n in (2, 4, 8, 16)
+        for check in (checks.cts_bijective, checks.cts_snake, checks.paper_literal_collides)
+    ]
     elapsed = time.perf_counter() - t0
+    detail = _failed(results)
     if elapsed >= 1.0:
-        ok = False
         detail.append(f"took {elapsed:.2f}s (budget 1s)")
-    _report(1, "serialization bijectivity and snake property", ok, "; ".join(detail) or f"{elapsed:.2f}s")
+    _report(1, "serialization bijectivity and snake property", not detail,
+            "; ".join(detail) or f"{elapsed:.2f}s")
 
 
 def test_criterion_02_axis_variant_identity():
-    cells = _full_grid(8)
-    yxz = ser.cts_code(cells, 8, ser.order_from_name("yxz").axis_perm)
-    swapped = ser.cts_code(cells[:, (1, 0, 2)], 8, ser.order_from_name("xyz").axis_perm)
-    mismatches = int((yxz != swapped).sum())
-    _report(2, "axis-variant identity yxz(a,b,c) == xyz(b,a,c) at grid 8", mismatches == 0,
-            f"{mismatches} mismatches of 512")
+    res = checks.axis_variant_identity(8)
+    _report(2, "axis-variant identity yxz(a,b,c) == xyz(b,a,c) at grid 8", res.passed,
+            f"{res.measured:.0f} mismatches of 512")
 
 
 def test_criterion_03_ssm_duality():
     t0 = time.perf_counter()
-    worst = 0.0
-    for seed in range(100):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        s = int(rng.integers(1, 17))
-        m = int(rng.integers(1, 257))
-        system = ssm.LTISystem(
-            a=rng.uniform(-2.0, -0.05, size=s),
-            b=rng.normal(size=s),
-            c=rng.normal(size=s),
-            dt=float(rng.uniform(0.1, 1.0)),
-        )
-        x = rng.normal(size=m)
-        a_bar, b_bar = system.discretize()
-        diff = np.abs(ssm.scan(x, a_bar, b_bar, system.c) - ssm.conv_form(x, system)).max()
-        worst = max(worst, float(diff))
+    res = checks.scan_equals_conv(_rngs(range(100)))
     elapsed = time.perf_counter() - t0
     _report(3, "recurrence matches global convolution (100 seeded systems)",
-            worst <= 1e-6 and elapsed < 5.0,
-            f"max abs diff {worst:.2e}, {elapsed:.2f}s")
+            res.passed and elapsed < 5.0,
+            f"max abs diff {res.measured:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_04_discretization():
-    a_bar, b_bar = ssm.discretize(np.log(2.0), np.array([-1.0]), np.array([3.0]))
-    exact_ok = abs(a_bar[0] - 0.5) < 1e-15 and abs(b_bar[0] - 0.5 * 3.0) < 1e-14
-    _, series = ssm.discretize(1e-7, np.array([1.0]), np.array([1.0]))
-    closed = np.expm1(1e-7) / 1.0
-    rel = abs(series[0] - closed) / closed
+    exact = checks.zoh_exact_values(b=3.0)
+    series = checks.zoh_series_matches_closed()
     _report(4, "zero-order-hold discretization exact values and series fallback",
-            exact_ok and rel <= 1e-12, f"series vs closed rel err {rel:.2e}")
+            exact.passed and series.passed,
+            f"exact values err {exact.measured:.2e}, "
+            f"series vs closed rel err {series.measured:.2e}")
 
 
 def test_criterion_05_adjoint_matches_finite_differences():
-    worst = 0.0
-    for seed in range(20):
-        rng = np.random.Generator(np.random.PCG64(300 + seed))
-        m, s = 32, 8
-        x = rng.normal(size=m)
-        a_bar = rng.uniform(0.2, 0.99, size=(m, s))
-        b_bar = rng.normal(size=(m, s))
-        c = rng.normal(size=(m, s))
-        g = rng.normal(size=m)
-        grads = ssm.scan_backward(x, a_bar, b_bar, c, g)
-        h = 1e-5
-        for name, arr in (("x", x), ("a_bar", a_bar), ("b_bar", b_bar), ("c", c)):
-            flat = arr.reshape(-1)
-            fd = np.empty(flat.size)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + h
-                up = g @ ssm.scan(x, a_bar, b_bar, c)
-                flat[i] = keep - h
-                down = g @ ssm.scan(x, a_bar, b_bar, c)
-                flat[i] = keep
-                fd[i] = (up - down) / (2 * h)
-            rel = np.abs(grads[name].reshape(-1) - fd) / (1.0 + np.abs(fd))
-            worst = max(worst, float(rel.max()))
-    _report(5, "scan adjoint matches central finite differences", worst <= 1e-4,
-            f"max rel err {worst:.2e}")
+    res = checks.adjoint_matches_finite_differences(_rngs(range(300, 320)))
+    _report(5, "scan adjoint matches central finite differences", res.passed,
+            f"max rel err {res.measured:.2e}")
 
 
 def test_criterion_06_gam_normalization():
     rng = np.random.Generator(np.random.PCG64(6))
     neigh = rng.normal(size=(24, 9, 11))
     centers = rng.normal(size=(24, 11))
-    acc = 0.0
-    for i in range(24):
-        for j in range(9):
-            for q in range(11):
-                acc += (neigh[i, j, q] - centers[i, q]) ** 2
-    oracle = np.sqrt(acc / (24 * 9 * 11))
-    sigma_err = abs(gam_sigma(neigh, centers) - oracle)
-    out = gam_normalize(neigh, centers, GAMParams(alpha=np.ones(11), beta=None, delta=1e-300))
-    rms_err = abs(float(np.sqrt((out**2).mean())) - 1.0)
+    sigma = checks.gam_sigma_matches_oracle(neigh, centers)
+    rms = checks.gam_unit_rms(neigh, centers)
     _report(6, "geometric affine normalization sigma and unit RMS",
-            sigma_err <= 1e-7 and rms_err <= 1e-6,
-            f"sigma err {sigma_err:.2e}, rms err {rms_err:.2e}")
+            sigma.passed and rms.passed,
+            f"sigma err {sigma.measured:.2e}, rms err {rms.measured:.2e}")
 
 
 def test_criterion_07_full_model_permutation_invariance():
     rng = np.random.Generator(np.random.PCG64(7))
     coords = rng.uniform(size=(1024, 3))
     assert len(np.unique(coords, axis=0)) == 1024
-    cloud = PointCloud(coords)
     perm = rng.permutation(1024)
-
-    model = build_model(preset_config("pcm-tiny", num_classes=5, seed=0))
-    logits = forward_classification(model, cloud)
-    logits_perm = forward_classification(model, PointCloud(coords[perm]))
-    cls_ok = np.array_equal(logits, logits_perm)
-
-    seg_model = build_model(
-        preset_config("pcm-tiny", task=TASK_SEGMENTATION, num_classes=5, seed=0)
+    cls = checks.classification_permutation_invariant(
+        build_model(preset_config("pcm-tiny", num_classes=5, seed=0)), coords, perm
     )
-    seg = forward_segmentation(seg_model, cloud)
-    seg_perm = forward_segmentation(seg_model, PointCloud(coords[perm]))
-    seg_ok = np.array_equal(seg_perm, seg[perm])
+    seg = checks.segmentation_permutation_equivariant(
+        build_model(preset_config("pcm-tiny", task=TASK_SEGMENTATION, num_classes=5, seed=0)),
+        coords,
+        perm,
+    )
     _report(7, "PCM-Tiny permutation invariance (cls) and equivariance (seg), bit-exact",
-            cls_ok and seg_ok, f"cls {cls_ok}, seg {seg_ok}")
+            cls.passed and seg.passed, f"cls {cls.passed}, seg {seg.passed}")
 
 
 def test_criterion_08_parameter_counts():
-    tiny = count_parameters(build_model(preset_config("pcm-tiny")))
-    full_model = build_model(preset_config("pcm"))
-    full = count_parameters(full_model)
-    tiny_ok = abs(tiny / 6.9e6 - 1.0) <= 0.15
-    full_ok = abs(full / 34.2e6 - 1.0) <= 0.15
-    tiny_flops = estimate_flops(build_model(preset_config("pcm-tiny")), 1024)
-    full_flops = estimate_flops(full_model, 1024)
-    _report(8, "parameter counts within 15% of published sizes", tiny_ok and full_ok,
-            f"tiny {tiny/1e6:.2f}M vs 6.9M, pcm {full/1e6:.2f}M vs 34.2M; "
-            f"informational MACs at 1024 pts: tiny {tiny_flops/1e9:.1f}G vs published 11.0G, "
-            f"pcm {full_flops/1e9:.1f}G vs published 45.0G")
+    detail, macs, ok = [], [], True
+    for preset in ("pcm-tiny", "pcm"):
+        res = checks.parameter_budget(preset)
+        ok = ok and res.passed
+        params, flops = PUBLISHED_SIZES[preset]
+        detail.append(f"{preset} {res.measured:.1%} from {params / 1e6:.1f}M")
+        mac = estimate_flops(_unfilled_model(preset_config(preset)), 1024)
+        macs.append(f"{preset} {mac / 1e9:.1f}G vs published {flops / 1e9:.1f}G")
+    _report(8, "parameter counts within 15% of published sizes", ok,
+            ", ".join(detail) + "; informational MACs at 1024 pts: " + ", ".join(macs))
 
 
 def test_criterion_09_linear_complexity_bench():
@@ -240,39 +176,17 @@ def test_criterion_10_serialization_comparability():
 def test_criterion_11_feature_probe():
     stats = run_probe(classes=3, per_class=PROBE_PER_CLASS, n=1024, seed=0)
     acc_ok = stats["test_accuracy"] >= PROBE_ACCURACY_FLOOR
-    # probe gradient against finite differences
-    rng = np.random.Generator(np.random.PCG64(11))
-    x = rng.normal(size=(40, 6))
-    y = rng.integers(0, 3, size=40)
-    w = rng.normal(size=(3, 6)) * 0.1
-    b = rng.normal(size=3) * 0.1
-    _, gw, gb = softmax_xent_grad(w, b, x, y)
-    h = 1e-6
-    worst = 0.0
-    for arr, grad in ((w, gw), (b, gb)):
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up, _, _ = softmax_xent_grad(w, b, x, y)
-            flat[i] = keep - h
-            down, _, _ = softmax_xent_grad(w, b, x, y)
-            flat[i] = keep
-            fd = (up - down) / (2 * h)
-            worst = max(worst, abs(gflat[i] - fd) / (1.0 + abs(fd)))
-    grad_ok = worst <= 1e-5
-    _report(11, "frozen-feature linear probe accuracy and gradient", acc_ok and grad_ok,
+    grad = checks.probe_gradient_matches_finite_differences(*_rngs([11]))
+    _report(11, "frozen-feature linear probe accuracy and gradient", acc_ok and grad.passed,
             f"test accuracy {stats['test_accuracy']:.2f} >= {PROBE_ACCURACY_FLOOR}, "
-            f"grad rel err {worst:.2e}")
+            f"grad rel err {grad.measured:.2e}")
 
 
 def test_criterion_12_determinism_and_persistence(tmp_path):
     rng = np.random.Generator(np.random.PCG64(12))
     cloud = PointCloud(rng.uniform(size=(256, 3)))
     cfg = preset_config("pcm-tiny", num_classes=4, seed=21)
-    l1 = forward_classification(build_model(cfg), cloud)
-    l2 = forward_classification(build_model(cfg), cloud)
-    det_ok = np.array_equal(l1, l2)
+    det = checks.seeded_build_deterministic(cfg, cloud)
 
     model = build_model(small_config(seed=3))
     p1, p2 = tmp_path / "a.pcmw", tmp_path / "b.pcmw"
@@ -280,4 +194,4 @@ def test_criterion_12_determinism_and_persistence(tmp_path):
     save_weights(load_weights(p1, small_config(seed=77)), p2)
     persist_ok = p1.read_bytes() == p2.read_bytes()
     _report(12, "seeded determinism and byte-identical weight persistence",
-            det_ok and persist_ok, f"forward {det_ok}, archive {persist_ok}")
+            det.passed and persist_ok, f"forward {det.passed}, archive {persist_ok}")

@@ -238,6 +238,19 @@ def test_forward_non_utf8_xyz_exits_3(capsys, tmp_path, config_file):
     assert err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_forward_nan_feature_exits_3_naming_file(capsys, tmp_path, config_file):
+    rng = np.random.default_rng(7)
+    rows = [" ".join(f"{v:.17g}" for v in row) for row in rng.uniform(size=(64, 4))]
+    rows[5] = "0.5 0.5 0.5 nan"
+    path = tmp_path / "nan_feature.xyz"
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["forward", "--config", config_file, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("error:") and str(path) in err and "features" in err
+
+
 def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
     from pcmamba.cli import config_from_file
     from pcmamba.io import save_weights

@@ -10,7 +10,6 @@ from pcmamba.errors import FormatError, InvalidInputError, ParseError
 from pcmamba.io import (
     generate_shape,
     load_weights,
-    read_archive,
     read_xyz,
     save_weights,
     write_xyz,
@@ -53,6 +52,14 @@ def test_read_xyz_errors(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(InvalidInputError):
         read_xyz(empty)
+
+
+@pytest.mark.parametrize("row", ["0 nan 0 1", "0 0 0 nan", "0 0 0 1e999"])
+def test_read_xyz_non_finite_value_names_file(tmp_path, row):
+    path = tmp_path / "bad.xyz"
+    path.write_text(f"1 1 1 1\n{row}\n")
+    with pytest.raises(InvalidInputError, match="bad.xyz"):
+        read_xyz(path)
 
 
 def test_read_xyz_not_utf8_is_parse_error(tmp_path):
@@ -151,8 +158,8 @@ def test_weights_roundtrip_byte_identical(tmp_path):
 def test_weights_bad_magic(tmp_path):
     path = tmp_path / "junk.pcmw"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(FormatError):
-        read_archive(path)
+    with pytest.raises(FormatError, match="bad magic"):
+        load_weights(path, small_config())
 
 
 def test_weights_truncated(tmp_path):
@@ -162,8 +169,6 @@ def test_weights_truncated(tmp_path):
     data = path.read_bytes()
     trunc = tmp_path / "trunc.pcmw"
     trunc.write_bytes(data[: len(data) // 2])
-    with pytest.raises(FormatError):
-        read_archive(trunc)
     with pytest.raises(FormatError):
         load_weights(trunc, small_config())
 
@@ -198,24 +203,25 @@ _SMALL_TENSORS = [
     ("b", np.linspace(-1.0, 1.0, 4).astype(np.float32)),
     ("c.scale", np.ones(3)),
 ]
+_MODEL_TENSORS = list(build_model(small_config()).named_params())
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_archive_header_mutations_load_or_raise_format_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("mut") / "w.pcmw"
-    raw = bytearray(_tensors_archive(path, _SMALL_TENSORS))
-    offsets = _header_offsets(_SMALL_TENSORS)
+    raw = bytearray(_tensors_archive(path, _MODEL_TENSORS))
+    offsets = _header_offsets(_MODEL_TENSORS)
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         raw[data.draw(st.sampled_from(offsets), label="offset")] = data.draw(
             st.integers(0, 255), label="byte"
         )
     path.write_bytes(bytes(raw))
     try:
-        tensors = read_archive(path)
+        model = load_weights(path, small_config())
     except FormatError:
         return
-    assert all(np.isfinite(t).all() for t in tensors.values())
+    assert all(np.isfinite(t).all() for _, t in model.named_params())
 
 
 @pytest.mark.parametrize("dims", [(2**64 - 1, 3), (2**32, 2**32), (2**62, 0)])
@@ -226,7 +232,7 @@ def test_archive_dims_beyond_file_or_address_space(tmp_path, dims):
     raw[dims_at : dims_at + 16] = struct.pack("<2Q", *dims)
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as err:
-        read_archive(path)
+        load_weights(path, small_config())
     assert "'a.w'" in str(err.value)
 
 
@@ -234,7 +240,7 @@ def test_archive_duplicate_tensor_name_rejected(tmp_path):
     path = tmp_path / "w.pcmw"
     _tensors_archive(path, [("a", np.ones(2)), ("a", np.zeros(3))])
     with pytest.raises(FormatError) as err:
-        read_archive(path)
+        load_weights(path, small_config())
     assert "duplicate" in str(err.value)
 
 
@@ -245,7 +251,6 @@ def test_archive_non_finite_tensor_rejected(tmp_path, bad):
     tensor.flat[1] = bad
     path = tmp_path / "w.pcmw"
     save_weights(model, path)
-    for load in (read_archive, lambda p: load_weights(p, small_config())):
-        with pytest.raises(FormatError) as err:
-            load(path)
-        assert repr(name) in str(err.value)
+    with pytest.raises(FormatError) as err:
+        load_weights(path, small_config())
+    assert repr(name) in str(err.value)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcmamba import checks
 from pcmamba.errors import ConfigurationError
 from pcmamba.local import (
     _BLOCK_NEIGHBOR_ROWS,
@@ -27,45 +28,28 @@ def test_sigma_unit_for_unit_deviations():
     assert gam_sigma(neigh, centers) == 1.0
 
 
+def _hood(seed, m, k, d):
+    """Random (M, K, D) neighbourhood features and (M, D) centre features."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.normal(size=(m, k, d)), rng.normal(size=(m, d))
+
+
 def test_sigma_matches_triple_loop():
-    rng = np.random.Generator(np.random.PCG64(1))
-    neigh = rng.normal(size=(10, 6, 7))
-    centers = rng.normal(size=(10, 7))
-    acc = 0.0
-    for i in range(10):
-        for j in range(6):
-            for q in range(7):
-                acc += (neigh[i, j, q] - centers[i, q]) ** 2
-    oracle = np.sqrt(acc / (10 * 6 * 7))
-    assert abs(gam_sigma(neigh, centers) - oracle) < 1e-7
+    assert checks.gam_sigma_matches_oracle(*_hood(1, 10, 6, 7)).passed
 
 
 def test_normalize_neighbors_equal_centers_gives_beta():
     rng = np.random.Generator(np.random.PCG64(2))
     centers = rng.normal(size=(4, 5))
-    neigh = np.broadcast_to(centers[:, None, :], (4, 3, 5)).copy()
-    beta = rng.normal(size=5)
-    params = GAMParams(alpha=np.ones(5), beta=beta, delta=1e-5)
-    out = gam_normalize(neigh, centers, params)
-    np.testing.assert_array_equal(out, np.broadcast_to(beta, out.shape))
+    assert checks.gam_degenerate_gives_beta(centers, 3, rng.normal(size=5)).passed
 
 
 def test_normalize_unit_rms():
-    rng = np.random.Generator(np.random.PCG64(3))
-    neigh = rng.normal(size=(8, 5, 6))
-    centers = rng.normal(size=(8, 6))
-    params = GAMParams(alpha=np.ones(6), beta=None, delta=1e-300)
-    out = gam_normalize(neigh, centers, params)
-    assert abs(np.sqrt((out**2).mean()) - 1.0) < 1e-6
+    assert checks.gam_unit_rms(*_hood(3, 8, 5, 6)).passed
 
 
 def test_normalize_alpha_linearity():
-    rng = np.random.Generator(np.random.PCG64(4))
-    neigh = rng.normal(size=(6, 4, 3))
-    centers = rng.normal(size=(6, 3))
-    one = gam_normalize(neigh, centers, GAMParams(alpha=np.ones(3), beta=None))
-    two = gam_normalize(neigh, centers, GAMParams(alpha=np.full(3, 2.0), beta=None))
-    np.testing.assert_array_equal(two, 2.0 * one)
+    assert checks.gam_alpha_linearity(*_hood(4, 6, 4, 3)).passed
 
 
 def test_delta_must_be_positive():

@@ -14,7 +14,6 @@ from pcmamba.model import (
     forward_classification,
     forward_segmentation,
     preset_config,
-    softmax_xent_grad,
     train_linear_probe,
 )
 from pcmamba.nn import AffineMap
@@ -38,13 +37,6 @@ def test_distinct_seeds_distinct_parameters_and_logits():
     l0 = forward_classification(build_model(small_config(seed=0)), cloud)
     l1 = forward_classification(build_model(small_config(seed=1)), cloud)
     assert not np.array_equal(l0, l1)
-
-
-def test_parameter_budgets_match_published_sizes():
-    tiny = count_parameters(build_model(preset_config("pcm-tiny")))
-    full = count_parameters(build_model(preset_config("pcm")))
-    assert abs(tiny - 6.9e6) <= 0.15 * 6.9e6
-    assert abs(full - 34.2e6) <= 0.15 * 34.2e6
 
 
 def test_affine_parameter_count():
@@ -205,27 +197,6 @@ def test_probe_shuffled_labels_near_chance():
     p = 1.0 / 3.0
     sigma = np.sqrt(p * (1 - p) / 600)
     assert abs(probe.train_accuracy - p) <= 3 * sigma
-
-
-def test_probe_gradient_matches_finite_differences():
-    rng = np.random.Generator(np.random.PCG64(13))
-    x = rng.normal(size=(30, 5))
-    y = rng.integers(0, 3, size=30)
-    w = rng.normal(size=(3, 5)) * 0.1
-    b = rng.normal(size=3) * 0.1
-    _, gw, gb = softmax_xent_grad(w, b, x, y)
-    h = 1e-6
-    for arr, grad in ((w, gw), (b, gb)):
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up, _, _ = softmax_xent_grad(w, b, x, y)
-            flat[i] = keep - h
-            down, _, _ = softmax_xent_grad(w, b, x, y)
-            flat[i] = keep
-            fd = (up - down) / (2 * h)
-            assert abs(gflat[i] - fd) <= 1e-5 * (1.0 + abs(fd))
 
 
 def test_probe_rejects_single_class():

@@ -16,6 +16,14 @@ def test_cloud_validation():
         PointCloud(np.zeros((2, 3)), features=np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cloud_rejects_non_finite_features(bad):
+    features = np.zeros((2, 1))
+    features[1, 0] = bad
+    with pytest.raises(InvalidInputError, match="features contain NaN or Inf"):
+        PointCloud(np.zeros((2, 3)), features=features)
+
+
 def test_normalize_cube_corners():
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]))
     norm = normalize_unit_cube(cloud)

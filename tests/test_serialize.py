@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcmamba import checks
 from pcmamba import serialize as ser
 from pcmamba.errors import UndefinedMetricError
 from pcmamba.pointset import PointCloud, normalize_unit_cube
@@ -94,26 +95,17 @@ def test_cts_bijective_enumeration_grid2():
 @pytest.mark.parametrize("grid_n", [2, 4, 8, 16])
 @pytest.mark.parametrize("name", ser.CTS_NAMES)
 def test_cts_bijective_and_snake(grid_n, name):
-    cells = full_grid(grid_n)
-    order = ser.order_from_name(name)
-    codes = ser.cts_code(cells, grid_n, order.axis_perm)
-    assert len(np.unique(codes)) == grid_n**3
-    walk = cells[np.argsort(codes)]
-    steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
-    assert np.all(steps == 1)
+    assert checks.cts_bijective(grid_n, (name,)).passed
+    assert checks.cts_snake(grid_n, (name,)).passed
 
 
 def test_paper_literal_collides():
     for grid_n in (2, 4, 8, 16):
-        codes = ser.cts_code(full_grid(grid_n), grid_n, (0, 1, 2), ser.MODE_PAPER)
-        assert len(np.unique(codes)) < grid_n**3
+        assert checks.paper_literal_collides(grid_n).passed
 
 
 def test_axis_variant_relation_exhaustive():
-    cells = full_grid(8)
-    yxz = ser.cts_code(cells, 8, ser.order_from_name("yxz").axis_perm)
-    swapped = ser.cts_code(cells[:, (1, 0, 2)], 8, ser.order_from_name("xyz").axis_perm)
-    np.testing.assert_array_equal(yxz, swapped)
+    assert checks.axis_variant_identity(8).passed
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,17 +132,12 @@ def test_hilbert_zero():
 
 
 def test_hilbert_bijective_unit_steps_grid4():
-    cells = full_grid(4)
-    codes = ser.hilbert_code(cells, 4)
-    assert len(np.unique(codes)) == 64
-    walk = cells[np.argsort(codes)]
-    steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
-    assert np.all(steps == 1)
+    assert checks.hilbert_bijective(4).passed
+    assert checks.hilbert_unit_steps(4).passed
 
 
 def test_morton_bijective_grid8():
-    codes = ser.morton_code(full_grid(8), 8)
-    assert len(np.unique(codes)) == 512
+    assert checks.morton_bijective(8).passed
 
 
 def test_grid_limits_enforced():
@@ -183,16 +170,7 @@ def test_serialize_cell_centers_follow_snake():
 
 
 def test_serialize_pure_function_of_geometry():
-    rng = np.random.Generator(np.random.PCG64(5))
-    coords = rng.uniform(size=(128, 3))
-    shuffled = coords[rng.permutation(128)]
-    for name in ser.ORDER_NAMES:
-        order = ser.order_from_name(name)
-        a = norm_cloud(coords)
-        b = norm_cloud(shuffled)
-        seq_a = a.cloud.coords[ser.serialize(a, order, 32)]
-        seq_b = b.cloud.coords[ser.serialize(b, order, 32)]
-        np.testing.assert_array_equal(seq_a, seq_b)
+    assert checks.serialize_pure_function(np.random.Generator(np.random.PCG64(5)), n=128).passed
 
 
 def test_serialize_tie_break_by_coords_then_index():
@@ -203,14 +181,7 @@ def test_serialize_tie_break_by_coords_then_index():
 
 
 def test_refinement_preserves_distinction():
-    rng = np.random.Generator(np.random.PCG64(11))
-    nc = norm_cloud(rng.uniform(size=(200, 3)))
-    coarse = ser.cts_code(ser.grid_quantize(nc, 2).cells, 2)
-    fine = ser.cts_code(ser.grid_quantize(nc, 4).cells, 4)
-    for i in range(200):
-        same_fine = fine == fine[i]
-        # sharing a fine code implies sharing the coarse code
-        assert not np.any(same_fine & (coarse != coarse[i]))
+    assert checks.refinement_preserves_distinction(np.random.Generator(np.random.PCG64(11))).passed
 
 
 # ----------------------------------------------------------- locality metrics
@@ -226,17 +197,14 @@ def test_locality_collinear_exact():
 
 def test_locality_full_grid_one_step():
     cells = full_grid(4)
-    centers = (cells + 0.5) / 4.0
-    cloud = PointCloud(centers)
-    nc = norm_cloud(centers)
+    nc = norm_cloud((cells + 0.5) / 4.0)
     perm = ser.serialize(nc, ser.order_from_name("xyz"), 4)
     metrics = ser.locality_metrics(nc.cloud, [perm], window=6)[0]
-    # consecutive cells are L1-adjacent, so every gap is one grid step
+    # consecutive cells are L1-adjacent (checks.cts_snake), so every gap is
+    # one grid step
     assert metrics["mean_gap"] == pytest.approx(
         np.linalg.norm(np.diff(nc.cloud.coords[perm], axis=0), axis=1)[0]
     )
-    steps = np.abs(np.diff(cells[np.argsort(ser.cts_code(cells, 4, (0, 1, 2)))], axis=0)).sum(1)
-    assert np.all(steps == 1)
 
 
 def test_locality_random_permutation_worse_than_cts():
