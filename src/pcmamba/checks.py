@@ -8,7 +8,10 @@ one stream or seed each trial itself), shapes, data and models.
 
 ``pcmamba verify`` runs the four suites at the end of the module. The
 acceptance criteria and the unit tests call the same functions with their own
-seeds and shapes instead of computing an invariant again:
+seeds and shapes instead of computing an invariant again. A check that only
+its suite computes (discretization stability, scan linearity and causality,
+block determinism, stage token counts, finite activations) is written inline
+in that suite.
 
     criterion 1   cts_bijective, cts_snake, paper_literal_collides (grids 2-16)
     criterion 2   axis_variant_identity
@@ -117,46 +120,47 @@ def paper_literal_collides(grid_n):
     return CheckResult(f"paper_literal_collides_grid{grid_n}", collisions > 0, collisions, 1.0)
 
 
-def axis_variant_identity(grid_n=8):
-    """yxz(a, b, c) == xyz(b, a, c) on every cell."""
-    cells = _full_grid(grid_n)
-    yxz, swapped = _cts(cells, grid_n, "yxz"), _cts(cells[:, (1, 0, 2)], grid_n, "xyz")
-    return _differing(f"axis_variant_identity_grid{grid_n}", yxz, swapped)
+def axis_variant_identity():
+    """yxz(a, b, c) == xyz(b, a, c) on every cell of the 8^3 grid."""
+    cells = _full_grid(8)
+    yxz, swapped = _cts(cells, 8, "yxz"), _cts(cells[:, (1, 0, 2)], 8, "xyz")
+    return _differing("axis_variant_identity_grid8", yxz, swapped)
 
 
-def hilbert_bijective(grid_n=4):
-    codes = ser.hilbert_code(_full_grid(grid_n), grid_n)
-    return _check(f"hilbert_bijective_grid{grid_n}", _duplicates(codes), 0)
+def hilbert_bijective():
+    codes = ser.hilbert_code(_full_grid(4), 4)
+    return _check("hilbert_bijective_grid4", _duplicates(codes), 0)
 
 
-def hilbert_unit_steps(grid_n=4):
-    cells = _full_grid(grid_n)
-    codes = ser.hilbert_code(cells, grid_n)
-    return _check(f"hilbert_unit_steps_grid{grid_n}", _step_error(cells, codes), 0)
+def hilbert_unit_steps():
+    cells = _full_grid(4)
+    codes = ser.hilbert_code(cells, 4)
+    return _check("hilbert_unit_steps_grid4", _step_error(cells, codes), 0)
 
 
-def morton_bijective(grid_n=4):
+def morton_bijective(grid_n):
     codes = ser.morton_code(_full_grid(grid_n), grid_n)
     return _check(f"morton_bijective_grid{grid_n}", _duplicates(codes), 0)
 
 
-def serialize_pure_function(rng, n=256, grid_n=32):
-    """Every order visits the same coordinates for a cloud and a shuffled copy."""
+def serialize_pure_function(rng, n):
+    """Every order visits the same coordinates for an n-point cloud and a
+    shuffled copy, at grid 32."""
     coords = rng.uniform(0, 1, size=(n, 3))
     nc = normalize_unit_cube(PointCloud(coords))
     ns = normalize_unit_cube(PointCloud(coords[rng.permutation(n)]))
     mismatch = 0
     for name in ser.ORDER_NAMES:
         order = ser.order_from_name(name)
-        a = nc.cloud.coords[ser.serialize(nc, order, grid_n)]
-        b = ns.cloud.coords[ser.serialize(ns, order, grid_n)]
+        a = nc.cloud.coords[ser.serialize(nc, order, 32)]
+        b = ns.cloud.coords[ser.serialize(ns, order, 32)]
         mismatch += int(not np.array_equal(a, b))
     return _check("serialize_pure_function_of_geometry", mismatch, 0)
 
 
-def refinement_preserves_distinction(rng, n=200):
+def refinement_preserves_distinction(rng):
     """Points sharing a grid-4 cell share their grid-2 cell."""
-    nc = normalize_unit_cube(PointCloud(rng.uniform(0, 1, size=(n, 3))))
+    nc = normalize_unit_cube(PointCloud(rng.uniform(0, 1, size=(200, 3))))
     coarse = ser.cts_code(ser.grid_quantize(nc, 2).cells, 2)
     fine = ser.cts_code(ser.grid_quantize(nc, 4).cells, 4)
     merged = sum(int(np.any((fine == f) & (coarse != c))) for f, c in zip(fine, coarse))
@@ -186,7 +190,7 @@ def scan_equals_conv(trials):
     return _check("scan_equals_conv", worst, 1e-6)
 
 
-def zoh_exact_values(b=1.0):
+def zoh_exact_values(b):
     """dt = ln 2 and a = -1 give a_bar = 1/2 and b_bar = b/2."""
     a_bar, b_bar = ssm.discretize(np.log(2.0), np.array([-1.0]), np.array([b]))
     return _check("zoh_exact_values", max(abs(a_bar[0] - 0.5), abs(b_bar[0] - 0.5 * b)), 1e-15)
@@ -199,19 +203,15 @@ def zoh_series_matches_closed():
     return _check("zoh_series_matches_closed", abs(series[0] - closed) / closed, 1e-12)
 
 
-def discretization_stability(rng, n=1000):
-    """a < 0 implies |a_bar| < 1."""
-    a = rng.uniform(-50.0, -1e-6, size=n)
-    dt = rng.uniform(1e-6, 10.0, size=n)
-    a_bar, _ = ssm.discretize(dt, a, np.ones(n))
-    return _check("discretization_stability", int((np.abs(a_bar) >= 1).sum()), 0)
-
-
-def adjoint_matches_finite_differences(trials, m=32, s=8, h=1e-5):
+def adjoint_matches_finite_differences(trials):
     """scan_backward vs central finite differences of g . scan(x, a_bar, b_bar, c)
-    in every coordinate, one random problem per generator. The 2 * (M + 3MS)
-    perturbed problems of a trial run as one recurrence along the batch axis
-    of ``ssm._recur``."""
+    in every coordinate, one random (M, S) = (32, 8) problem per generator.
+
+    The 2 * (M + 3MS) perturbed problems of a trial and the unperturbed one
+    run as one recurrence along the batch axis of ``ssm._recur``; the
+    unperturbed column must reproduce ``ssm.scan`` to 1e-12, so the finite
+    differences are taken of scan itself."""
+    m, s, h = 32, 8, 1e-5
     worst = 0.0
     for rng in trials:
         x = rng.normal(size=m)
@@ -220,41 +220,23 @@ def adjoint_matches_finite_differences(trials, m=32, s=8, h=1e-5):
         c = rng.normal(size=(m, s))
         g = rng.normal(size=m)
         grads = ssm.scan_backward(x, a_bar, b_bar, c, g)
-        # column i moves coordinate i of (x, a_bar, b_bar, c) by +h, column n + i by -h
+        # column i moves coordinate i of (x, a_bar, b_bar, c) by +h, column
+        # n + i by -h, and the last column is unperturbed
         theta = np.concatenate([x, a_bar.ravel(), b_bar.ravel(), c.ravel()])
         n = theta.size
-        batch = np.concatenate([theta + h * np.eye(n), theta - h * np.eye(n)]).T
-        xs = batch[:m]  # (M, 2n)
-        a_bars, b_bars, cs = batch[m:].reshape(3, m, s, 2 * n).transpose(0, 1, 3, 2)
-        states = np.empty(a_bars.shape)  # (M, 2n, S)
+        batch = np.concatenate([theta + h * np.eye(n), theta - h * np.eye(n), [theta]]).T
+        xs = batch[:m]  # (M, 2n + 1)
+        a_bars, b_bars, cs = batch[m:].reshape(3, m, s, 2 * n + 1).transpose(0, 1, 3, 2)
+        states = np.empty(a_bars.shape)  # (M, 2n + 1, S)
         ssm._recur(a_bars, b_bars * xs[:, :, None], np.zeros(a_bars.shape[1:]), states)
         loss = g @ np.einsum("tps,tps->tp", cs, states)
-        fd = (loss[:n] - loss[n:]) / (2 * h)
+        base = float(g @ ssm.scan(x, a_bar, b_bar, c))
+        if abs(loss[-1] - base) > 1e-12 * (1.0 + abs(base)):
+            worst = np.inf
+        fd = (loss[:n] - loss[n:-1]) / (2 * h)
         grad = np.concatenate([grads[k].ravel() for k in ("x", "a_bar", "b_bar", "c")])
         worst = max(worst, float((np.abs(grad - fd) / (1.0 + np.abs(fd))).max()))
     return _check("adjoint_matches_finite_differences", worst, 1e-4)
-
-
-def scan_linearity_exact(x, a_bar, b_bar, c):
-    """scan(2x) == 2 scan(x) bit for bit."""
-    lin = np.abs(ssm.scan(2.0 * x, a_bar, b_bar, c) - 2.0 * ssm.scan(x, a_bar, b_bar, c))
-    return _check("scan_linearity_exact", float(lin.max()), 0.0)
-
-
-def scan_causality(x, a_bar, b_bar, c):
-    """A perturbation at the middle step never reaches earlier outputs."""
-    half = len(x) // 2
-    xp = x.copy()
-    xp[half] += 10.0
-    diff = np.abs(ssm.scan(xp, a_bar, b_bar, c)[:half] - ssm.scan(x, a_bar, b_bar, c)[:half])
-    return _check("scan_causality", float(diff.max()), 0.0)
-
-
-def mamba_block_deterministic(seed):
-    layer = ssm.SelectiveSSMLayer.init(_rng(seed), 16)
-    tokens = _rng(seed + 1).normal(size=(40, 16))
-    first, second = ssm.mamba_block(tokens, layer), ssm.mamba_block(tokens, layer)
-    return _differing("mamba_block_deterministic", first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +301,6 @@ def segmentation_permutation_equivariant(model, coords, perm):
     return _differing("segmentation_permutation_equivariant", shuffled, seg[perm])
 
 
-def stage_token_counts(model, cloud, wanted):
-    counts = [len(f) for f in encode(model, cloud).stage_feats]
-    return _check("stage_token_counts", int(counts != list(wanted)), 0)
-
-
-def activations_finite(model, seeds, n=64):
-    """Logits are finite on one uniform n-point cloud per seed."""
-    bad = 0
-    for seed in seeds:
-        cloud = PointCloud(_rng(seed).uniform(0.0, 1.0, size=(n, 3)))
-        bad += int(not np.isfinite(forward_classification(model, cloud)).all())
-    return _check(f"activations_finite_{len(seeds)}_clouds", bad, 0)
-
-
 def seeded_build_deterministic(config, cloud):
     """Two builds of a classification config: same parameters, same logits."""
     m1, m2 = build_model(config), build_model(config)
@@ -348,12 +316,14 @@ def parameter_budget(preset):
     return _check(f"params_{preset.replace('-', '_')}_within_15pct", deviation, 0.15)
 
 
-def probe_gradient_matches_finite_differences(rng, rows=40, features=6, classes=3, h=1e-6):
-    """softmax_xent_grad vs central finite differences in every weight and bias."""
-    x = rng.normal(size=(rows, features))
-    y = rng.integers(0, classes, size=rows)
-    w = rng.normal(size=(classes, features)) * 0.1
-    b = rng.normal(size=classes) * 0.1
+def probe_gradient_matches_finite_differences(rng):
+    """softmax_xent_grad vs central finite differences in every weight and bias
+    of a 3-class probe on 40 random 6-feature rows."""
+    h = 1e-6
+    x = rng.normal(size=(40, 6))
+    y = rng.integers(0, 3, size=40)
+    w = rng.normal(size=(3, 6)) * 0.1
+    b = rng.normal(size=3) * 0.1
     _, gw, gb = softmax_xent_grad(w, b, x, y)
     worst = 0.0
     for arr, grad in ((w, gw), (b, gb)):
@@ -377,11 +347,11 @@ def serialization_checks(seed: int = 0):
     rng = _rng(seed)
     per_grid = (cts_bijective, cts_snake, paper_literal_collides)
     return [check(grid_n) for grid_n in (2, 4, 8, 16) for check in per_grid] + [
-        axis_variant_identity(8),
-        hilbert_bijective(4),
-        hilbert_unit_steps(4),
+        axis_variant_identity(),
+        hilbert_bijective(),
+        hilbert_unit_steps(),
         morton_bijective(4),
-        serialize_pure_function(rng),
+        serialize_pure_function(rng, 256),
         refinement_preserves_distinction(rng),
     ]
 
@@ -390,19 +360,31 @@ def ssm_checks(seed: int = 0):
     rng = _rng(seed)
     results = [
         scan_equals_conv(itertools.repeat(rng, 100)),
-        zoh_exact_values(),
+        zoh_exact_values(1.0),
         zoh_series_matches_closed(),
-        discretization_stability(rng),
+    ]
+    # a < 0 implies |a_bar| < 1
+    a, dt = rng.uniform(-50.0, -1e-6, size=1000), rng.uniform(1e-6, 10.0, size=1000)
+    a_bar, _ = ssm.discretize(dt, a, np.ones(1000))
+    results += [
+        _check("discretization_stability", int((np.abs(a_bar) >= 1).sum()), 0),
         adjoint_matches_finite_differences(itertools.repeat(rng, 20)),
     ]
+    # scan is exactly linear in x, and a change at the middle step never
+    # reaches earlier outputs
     m, s = 64, 4
     x = rng.normal(size=m)
-    a_bar = rng.uniform(0.2, 0.95, size=(m, s))
-    scan_args = (x, a_bar, rng.normal(size=(m, s)), rng.normal(size=(m, s)))
+    params = rng.uniform(0.2, 0.95, size=(m, s)), rng.normal(size=(m, s)), rng.normal(size=(m, s))
+    y = ssm.scan(x, *params)
+    xp = x.copy()
+    xp[m // 2] += 10.0
+    layer = ssm.SelectiveSSMLayer.init(_rng(seed), 16)
+    tokens = _rng(seed + 1).normal(size=(40, 16))
+    first, second = ssm.mamba_block(tokens, layer), ssm.mamba_block(tokens, layer)
     return results + [
-        scan_linearity_exact(*scan_args),
-        scan_causality(*scan_args),
-        mamba_block_deterministic(seed),
+        _check("scan_linearity_exact", np.abs(ssm.scan(2.0 * x, *params) - 2.0 * y).max(), 0.0),
+        _check("scan_causality", np.abs(ssm.scan(xp, *params)[: m // 2] - y[: m // 2]).max(), 0.0),
+        _differing("mamba_block_deterministic", first, second),
     ]
 
 
@@ -427,9 +409,14 @@ def model_checks(seed: int = 0):
     small = rng.uniform(0.0, 1.0, size=(128, 3))
     results.append(segmentation_permutation_equivariant(seg_model, small, rng.permutation(128)))
     cloud = PointCloud(coords)
+    counts = [len(f) for f in encode(model, cloud).stage_feats]
+    # logits are finite on 100 uniform 64-point clouds
+    small_cls = build_model(_small_config(seed=seed))
+    clouds = (PointCloud(_rng(s).uniform(0.0, 1.0, size=(64, 3))) for s in range(1000, 1100))
+    bad = sum(not np.isfinite(forward_classification(small_cls, c)).all() for c in clouds)
     return results + [
-        stage_token_counts(model, cloud, [1024, 512, 256, 128]),
-        activations_finite(build_model(_small_config(seed=seed)), range(1000, 1100)),
+        _check("stage_token_counts", int(counts != [1024, 512, 256, 128]), 0),
+        _check("activations_finite_100_clouds", int(bad), 0),
         seeded_build_deterministic(_small_config(seed=seed), cloud.select(np.arange(200))),
         parameter_budget("pcm-tiny"),
         parameter_budget("pcm"),

@@ -36,6 +36,7 @@ from .model import (
     PUBLISHED_SIZES,
     ModelConfig,
     StageConfig,
+    _unfilled_model,
     build_model,
     count_parameters,
     encode,
@@ -372,7 +373,7 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     config = _resolve_config(args.config, "classification", 15, seed=args.seed)
-    model = build_model(config)
+    model = _unfilled_model(config)  # counts and MACs read no parameter value
     groups = count_parameters(model, per_module=True)
     total = sum(groups.values())
     lines = [f"config={args.config}"]

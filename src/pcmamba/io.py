@@ -24,6 +24,7 @@ MAGIC = b"PCMW"
 VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR_KIND = {"f4": 0, "f8": 1}
+_MAX_RANK = 32  # the most dims a NumPy array can have (NumPy 1.x)
 
 SHAPE_KINDS = ("sphere", "cube", "torus", "plane")
 
@@ -181,6 +182,8 @@ def _scan_archive(fh, path) -> dict:
         code, rank = struct.unpack("<BB", _read_exact(fh, 2, "tensor header"))
         if code not in _DTYPE_CODES:
             raise FormatError(f"{path}: tensor {name!r} has unknown dtype code {code}")
+        if rank > _MAX_RANK:
+            raise FormatError(f"{path}: tensor {name!r} has rank {rank}, more than {_MAX_RANK}")
         dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
         dtype = _DTYPE_CODES[code]
         nbytes = math.prod(dims) * dtype.itemsize

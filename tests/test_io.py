@@ -236,6 +236,16 @@ def test_archive_dims_beyond_file_or_address_space(tmp_path, dims):
     assert "'a.w'" in str(err.value)
 
 
+def test_archive_rank_beyond_numpy_rejected(tmp_path):
+    path = tmp_path / "w.pcmw"
+    # the 255 dims then read the payload: -1.0 is about 1.4e19 as a u64
+    raw = bytearray(_tensors_archive(path, [("a.w", np.full((300, 3), -1.0))]))
+    raw[12 + 2 + len("a.w") + 1] = 255  # rank byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="'a.w' has rank 255, more than 32"):
+        load_weights(path, small_config())
+
+
 def test_archive_duplicate_tensor_name_rejected(tmp_path):
     path = tmp_path / "w.pcmw"
     _tensors_archive(path, [("a", np.ones(2)), ("a", np.zeros(3))])

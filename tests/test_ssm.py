@@ -43,7 +43,7 @@ def test_discretize_dt_to_zero_limit():
 
 
 def test_discretize_exact_values():
-    assert checks.zoh_exact_values().passed
+    assert checks.zoh_exact_values(1.0).passed
 
 
 def test_discretize_series_agrees_with_closed_form():
