@@ -10,7 +10,7 @@ tabular output is CSV with a header row. Exit codes: 0 success, 1
 verification failure, 2 usage or configuration error (a config JSON with a
 missing, mistyped or non-positive field), 3 I/O, format or numeric-range
 error (an xyz file that is not UTF-8 text, input or weights that overflow
-a computation).
+a computation); ``EXIT_CODES`` maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ from . import serialize as ser
 from .checks import run_suite
 from .errors import (
     ConfigurationError,
+    ContractViolationError,
+    DegenerateLabelsError,
     FormatError,
     InvalidInputError,
     NumericRangeError,
     ParseError,
+    UndefinedMetricError,
 )
 from .io import generate_shape, load_weights, read_xyz
 from .model import (
@@ -58,6 +61,23 @@ EXIT_IO = 3
 
 class UsageError(Exception):
     pass
+
+
+# Exit code of every error class in ``pcmamba.errors`` (README, "CLI"); an
+# exception of another class takes the code of its nearest listed base.
+EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    ConfigurationError: EXIT_USAGE,
+    ContractViolationError: EXIT_USAGE,
+    DegenerateLabelsError: EXIT_USAGE,
+    UndefinedMetricError: EXIT_USAGE,
+    FormatError: EXIT_IO,
+    InvalidInputError: EXIT_IO,
+    NumericRangeError: EXIT_IO,
+    ParseError: EXIT_IO,
+    OSError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+}
 
 
 def _emit(lines, fh=None):
@@ -529,22 +549,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ParseError,
-        FormatError,
-        InvalidInputError,
-        NumericRangeError,
-        FileNotFoundError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -50,15 +50,10 @@ class GAMParams:
 
 
 def _rms(dev: np.ndarray) -> float:
-    return float(np.sqrt((dev * dev).mean()))
-
-
-def _gam_affine(dev: np.ndarray, sigma: float, params: GAMParams) -> np.ndarray:
-    out = params.alpha * dev
-    out /= sigma + params.delta
-    if params.beta is not None:
-        out += params.beta
-    return out
+    # the sum of squares as one dot product of the flat view, without an
+    # array of squares the size of dev
+    flat = dev.reshape(-1)
+    return float(np.sqrt(np.dot(flat, flat) / flat.size))
 
 
 def gam_sigma(neighborhood_features: np.ndarray, center_features: np.ndarray) -> float:
@@ -77,7 +72,11 @@ def gam_normalize(
 ) -> np.ndarray:
     """alpha * (f_ij - f_i) / (sigma + delta) + beta, elementwise."""
     dev = neighborhood_features - center_features[:, None, :]
-    return _gam_affine(dev, _rms(dev), params)
+    out = params.alpha * dev
+    out /= _rms(dev) + params.delta
+    if params.beta is not None:
+        out += params.beta
+    return out
 
 
 @dataclass
@@ -147,6 +146,22 @@ class MLPStack:
             yield from block.named_params(f"{prefix}.block{i}")
 
 
+def _fold(lin: np.ndarray, const: np.ndarray, affine: AffineMap):
+    """``affine(lin[j] - lin[i] + const)`` as ``out[j] - out[i] + out_const``."""
+    out_const = affine.w @ const
+    if affine.b is not None:
+        out_const += affine.b
+    return lin @ affine.w.T, out_const
+
+
+def _rows(lin: np.ndarray, const: np.ndarray, neighbors, centers) -> np.ndarray:
+    """``lin[j] - lin[i] + const`` for every neighbor j of every center i,
+    as (len(centers) * K, D) rows."""
+    out = lin[neighbors]
+    out -= (lin[centers] - const)[:, None, :]
+    return out.reshape(-1, lin.shape[1])
+
+
 def local_aggregate(
     features: np.ndarray,
     neighborhood: NeighborhoodIndex,
@@ -158,30 +173,49 @@ def local_aggregate(
 
     The max over the K neighbors makes the result invariant to neighbor
     order and to duplicated neighbors. sigma is taken once over the whole
-    deviation array; GAM, phi1 and the max then run on blocks of centers of
-    about ``_BLOCK_NEIGHBOR_ROWS`` neighbor rows each, so their
-    intermediates stay in cache, and phi2 runs once on the pooled rows.
-    Every row is computed exactly as without blocking.
+    deviation array. The GAM affine, phi1's optional entry affine and the
+    first block's ``affine1`` are linear in the deviation f_j - f_i, so
+    they run once per point, as ``Q = F @ W'.T``, and each neighbor row
+    is gathered as ``Q[j] - Q[i] + c`` (likewise the entry output, which
+    the residual needs). The rest of phi1 and the max then run on blocks
+    of centers of about ``_BLOCK_NEIGHBOR_ROWS`` neighbor rows each, so
+    their intermediates stay in cache, and phi2 runs once on the pooled
+    rows. The folding moves results by rounding only (about 1e-15 at unit
+    scale); every row is computed the same way whatever the blocking.
     """
     if features.shape[-1] != gam.alpha.shape[0]:
         raise ConfigurationError(
             f"GAM expects {gam.alpha.shape[0]} channels, got {features.shape[-1]}"
         )
-    dev = features[neighborhood.neighbors]  # (M, K, D_in)
-    dev -= features[neighborhood.centers][:, None, :]
+    if features.shape[-1] != phi1.d_in:
+        raise ConfigurationError(
+            f"stack expects {phi1.d_in} input channels, got {features.shape[-1]}"
+        )
+    centers, neighbors = neighborhood.centers, neighborhood.neighbors
+    dev = features[neighbors]  # (M, K, D_in)
+    dev -= features[centers][:, None, :]
     sigma = _rms(dev)
-    m, k, d_in = dev.shape
+    del dev
+    lin = features * (gam.alpha / (sigma + gam.delta))
+    const = np.zeros(lin.shape[1]) if gam.beta is None else gam.beta
+    if phi1.entry is not None:
+        lin, const = _fold(lin, const, phi1.entry)
+    first, rest = phi1.blocks[0], phi1.blocks[1:]
+    q, q_const = _fold(lin, const, first.affine1)
+    m, k = neighbors.shape
     # Blocks are balanced rather than cut at a fixed size with a short
     # remainder: a matrix product of one or a few rows takes another BLAS
     # kernel (gemv, or OpenBLAS's small-matrix path) whose summation order
     # differs, which would change the bits of those rows.
     n_blocks = -(-m // max(1, _BLOCK_NEIGHBOR_ROWS // k))
     bounds = [m * i // n_blocks for i in range(n_blocks + 1)]
-    pooled = None
+    pooled = np.empty((m, first.affine2.d_out), dtype=lin.dtype)
     for start, end in zip(bounds, bounds[1:]):
-        g = _gam_affine(dev[start:end], sigma, gam)
-        lifted = phi1(g.reshape(-1, d_in)).reshape(end - start, k, -1)
-        if pooled is None:
-            pooled = np.empty((m, lifted.shape[2]), dtype=lifted.dtype)
-        lifted.max(axis=1, out=pooled[start:end])
+        nb, ctr = neighbors[start:end], centers[start:end]
+        h = silu(rms_norm(_rows(q, q_const, nb, ctr), first.norm1_scale))
+        lifted = rms_norm(first.affine2(h), first.norm2_scale)
+        lifted += _rows(lin, const, nb, ctr)
+        for block in rest:
+            lifted = block(lifted)
+        lifted.reshape(end - start, k, -1).max(axis=1, out=pooled[start:end])
     return phi2(pooled)

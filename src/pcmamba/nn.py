@@ -21,9 +21,18 @@ def silu(x):
     return np.divide(x, out, out=out)
 
 
-def softplus(x):
-    # log(1 + e^x) without overflow for large x
-    return np.logaddexp(0.0, x)
+def softplus(x, out=None):
+    """log(1 + e^x) without overflow, as max(x, 0) + log1p(exp(-|x|)).
+
+    ``out`` may be ``x`` itself; one temporary besides it.
+    """
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out = np.maximum(x, 0.0, out=out)
+    out += t
+    return out
 
 
 def softplus_inverse(y):

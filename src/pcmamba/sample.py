@@ -14,8 +14,12 @@ import numpy as np
 from .errors import InvalidInputError
 from .pointset import PointCloud, canonical_tiebreak_order
 
-# Distance entries per kNN block (rows x base points).
-_BLOCK_ENTRIES = 4_000_000
+# Distance entries per kNN block (rows x base points): two float64 blocks
+# of 8 MB each, so a large query costs 16 MB of scratch.
+_BLOCK_ENTRIES = 1_000_000
+
+# Target rows per gather of source features in interpolate_features.
+_INTERP_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def knn(query_coords, base_coords, k: int) -> NeighborhoodIndex:
     canonical order, and each row keeps its k smallest distances by partial
     selection (``ndarray.partition`` finds the k-th distance) with exact
     tie resolution at that distance, never a full sort. Query rows are
-    processed in blocks of at most ~4M distances.
+    processed in blocks of at most ~1M distances.
     """
     query = _coords_of(query_coords)
     base = _coords_of(base_coords)
@@ -158,6 +162,9 @@ def interpolate_features(
 
     Each target gets the 1/d-weighted average of its k nearest sources; a
     target that coincides exactly with a source copies that source's feature.
+    The (rows, k, C) gather of source features runs in blocks of
+    ``_INTERP_BLOCK_ROWS`` target rows; each row's arithmetic is the same
+    as in one pass over all rows.
     """
     target = _coords_of(target_coords)
     source = _coords_of(source_coords)
@@ -173,9 +180,11 @@ def interpolate_features(
     exact = dist[:, 0] == 0.0
     if exact.any():
         out[exact] = feats[hood.neighbors[exact, 0]]
-    rest = ~exact
-    if rest.any():
-        w = 1.0 / dist[rest]
-        w /= w.sum(axis=1, keepdims=True)
-        out[rest] = np.einsum("mk,mkc->mc", w, feats[hood.neighbors[rest]])
+    rest = np.flatnonzero(~exact)
+    w = 1.0 / dist[rest]
+    w /= w.sum(axis=1, keepdims=True)
+    for s in range(0, len(rest), _INTERP_BLOCK_ROWS):
+        rows = rest[s : s + _INTERP_BLOCK_ROWS]
+        gathered = feats[hood.neighbors[rows]]
+        out[rows] = np.einsum("mk,mkc->mc", w[s : s + _INTERP_BLOCK_ROWS], gathered)
     return out

@@ -61,14 +61,14 @@ def discretize(dt, a, b):
     return a_bar, factor * dt * b
 
 
-def _recur(a_bar, bx, h, states):
-    """h_t = a_bar_t * h_{t-1} + bx_t into states[t], along the leading axis
-    of (M, ..., S) arrays; h holds the state before step 0 and is updated in
-    place."""
-    for t in range(len(states)):
+def _recur(a_bar, bx, h, out, c=None):
+    """h_t = a_bar_t * h_{t-1} + bx_t along the leading axis of (M, ...)
+    arrays; out[t] receives h_t, or the readout c_t @ h_t when c is given.
+    h holds the state before step 0 and is updated in place."""
+    for t in range(len(out)):
         np.multiply(a_bar[t], h, out=h)
         h += bx[t]
-        states[t] = h
+        out[t] = h if c is None else c[t] @ h
 
 
 def _per_step(arr, m, s, name):
@@ -94,13 +94,10 @@ def scan(x, a_bar, b_bar, c):
     a_bar = _per_step(a_bar, m, s, "a_bar")
     b_bar = _per_step(b_bar, m, s, "b_bar")
     c = _per_step(c, m, s, "c")
-    states = np.empty((m, s))
-    _recur(a_bar, b_bar * x[:, None], np.zeros(s), states)
     # one dot product per row: batched forms (einsum, a sum over S) add the
     # S products in another order and can differ in the last bit
     y = np.empty(m)
-    for t in range(m):
-        y[t] = c[t] @ states[t]
+    _recur(a_bar, b_bar * x[:, None], np.zeros(s), y, c)
     return y
 
 
@@ -286,22 +283,25 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer):
     """
     m, d_inner = u.shape
     s = layer.state_size
-    dt = softplus(u @ layer.dt_down_w.T @ layer.dt_up_w.T + layer.dt_bias)  # (M, Di)
+    dt = u @ layer.dt_down_w.T @ layer.dt_up_w.T
+    dt += layer.dt_bias
+    softplus(dt, out=dt)  # (M, Di)
     if not np.isfinite(dt).all():
         raise NumericRangeError("non-finite timescale dt in selective scan")
     b_tok = u @ layer.b_proj_w.T  # (M, S)
     c_tok = u @ layer.c_proj_w.T  # (M, S)
-    a = -np.exp(layer.a_log)  # (Di, S)
-    h = np.zeros((d_inner, s))
+    # the state is laid out (S, Di), so the per-step products below
+    # broadcast over contiguous rows of Di channels
+    a = np.ascontiguousarray(-np.exp(layer.a_log).T)  # (S, Di)
+    h = np.zeros((s, d_inner))
     y = np.empty((m, d_inner))
-    # Per-step (Di, S) parameters are materialized in bounded segments into
+    # Per-step (S, Di) parameters are materialized in bounded segments into
     # scratch buffers reused across segments: results are identical for any
-    # segment length (all ops elementwise), while keeping temporaries small
-    # and per-call allocation constant, so wall time stays linear in M.
-    seg = min(m, max(1, 262_144 // (d_inner * s)))
-    a_bar = np.empty((seg, d_inner, s))
-    bx = np.empty((seg, d_inner, s))
-    states = np.empty((seg, d_inner, s))
+    # segment length (all ops elementwise), while the buffers stay in cache
+    # and per-call allocation stays constant, so wall time is linear in M.
+    seg = min(m, max(1, 65_536 // (d_inner * s)))
+    a_bar = np.empty((seg, s, d_inner))
+    bx = np.empty((seg, s, d_inner))
     for start in range(0, m, seg):
         end = min(start + seg, m)
         n = end - start
@@ -310,16 +310,15 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer):
         # dt*u*B; report it instead of running inf/NaN on into the output
         with np.errstate(over="raise", invalid="raise"):
             try:
-                z = np.multiply(dts[:, :, None], a[None, :, :], out=a_bar[:n])
-                np.multiply((dts * u[start:end])[:, :, None], b_tok[start:end, None, :], out=bx[:n])
+                z = np.multiply(dts[:, None, :], a, out=a_bar[:n])
+                np.multiply((dts * u[start:end])[:, None, :], b_tok[start:end, :, None], out=bx[:n])
             except FloatingPointError as exc:
                 msg = f"overflow in selective-scan discretization: {exc}"
                 raise NumericRangeError(msg) from exc
-        np.exp(z, out=a_bar[:n])
-        # sequential recurrence (state order is load-bearing); the readout
-        # y_t = h_t . C_t is batched per segment once the states are known
-        _recur(a_bar[:n], bx[:n], h, states[:n])
-        np.einsum("tds,ts->td", states[:n], c_tok[start:end], out=y[start:end])
+        np.exp(z, out=z)
+        # sequential recurrence (state order is load-bearing) with the
+        # readout y_t = C_t @ h_t taken at each step
+        _recur(a_bar[:n], bx[:n], h, y[start:end], c_tok[start:end])
     return y + layer.d_skip * u
 
 

@@ -1,4 +1,7 @@
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +335,41 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--suite", "gam")
     assert code == EXIT_VERIFY_FAILED
     assert "synthetic.status=fail" in out
+
+
+def _documented_exit_codes():
+    """Error class name -> exit code, from the table in README "CLI"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    codes = {}
+    for code, classes in re.findall(r"^\| (\d) \|[^|]*\|(.*)\|$", section, re.M):
+        for name in re.findall(r"`(\w+)`", classes):
+            codes[name] = int(code)
+    return codes
+
+
+def test_every_error_class_exits_with_documented_code(capsys, monkeypatch):
+    from pcmamba import cli as cli_mod
+    from pcmamba import errors
+
+    documented = _documented_exit_codes()
+    classes = [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+    ]
+    assert classes
+    for cls in classes:
+        assert cls.__name__ in documented, f"{cls.__name__} has no documented exit code"
+        assert cli_mod.EXIT_CODES[cls] == documented[cls.__name__]
+
+        def fail(args, cls=cls):
+            raise cls(f"synthetic {cls.__name__}")
+
+        monkeypatch.setattr(cli_mod, "cmd_inspect", fail)
+        code = main(["inspect"])
+        assert code == documented[cls.__name__], cls.__name__
+        assert f"error: synthetic {cls.__name__}" in capsys.readouterr().err
 
 
 def test_verify_serialization_suite(capsys):

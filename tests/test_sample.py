@@ -154,8 +154,8 @@ def test_knn_matches_full_sort_oracle(base, data):
 
 
 def test_knn_matches_oracle_across_row_blocks():
-    # 4800 base points: distances are computed in blocks of a few hundred
-    # query rows, so 1200 queries span two blocks; the lattice ties massively
+    # 4800 base points: distances are computed in blocks of about 200 query
+    # rows, so 1200 queries span six blocks; the lattice ties massively
     rng = np.random.Generator(np.random.PCG64(8))
     grid = np.stack(np.meshgrid(np.arange(20), np.arange(20), np.arange(12), indexing="ij"), -1)
     base = grid.reshape(-1, 3) * 0.1
@@ -218,6 +218,39 @@ def test_interpolate_idempotent_k1():
     feats = rng.normal(size=(25, 4))
     out = interpolate_features(coords, coords, feats, k=1)
     np.testing.assert_array_equal(out, feats)
+
+
+def _interpolate_whole_array(target, source, feats, k):
+    """``interpolate_features`` as one pass: the (n, k, C) gather of all rows."""
+    hood = knn(target, source, k)
+    diffs = target[:, None, :] - source[hood.neighbors]
+    dist = np.sqrt((diffs**2).sum(axis=2))
+    out = np.empty((len(target), feats.shape[1]))
+    exact = dist[:, 0] == 0.0
+    out[exact] = feats[hood.neighbors[exact, 0]]
+    w = 1.0 / dist[~exact]
+    w /= w.sum(axis=1, keepdims=True)
+    out[~exact] = np.einsum("mk,mkc->mc", w, feats[hood.neighbors[~exact]])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["lattice", "jittered"])
+def test_interpolate_row_blocks_equal_whole_array(kind):
+    # the decoder's last transfer: 8192 targets from 1024 sources; on the
+    # 16x16x32 lattice every source is also a target and distances tie
+    rng = np.random.Generator(np.random.PCG64(9))
+    if kind == "lattice":
+        grid = np.meshgrid(np.arange(16), np.arange(16), np.arange(32), indexing="ij")
+        target = np.stack(grid, axis=-1).reshape(-1, 3).astype(np.float64)
+        source = target[rng.choice(len(target), 1024, replace=False)]
+    else:
+        target = rng.normal(size=(8192, 3))
+        source = target[:1024] + rng.normal(scale=0.01, size=(1024, 3))
+    feats = rng.normal(size=(1024, 192))
+    np.testing.assert_array_equal(
+        interpolate_features(target, source, feats, k=3),
+        _interpolate_whole_array(target, source, feats, 3),
+    )
 
 
 def test_interpolate_needs_sources():
