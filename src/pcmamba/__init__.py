@@ -6,15 +6,13 @@ from .pointset import NormalizedCloud, PointCloud, canonical_tiebreak_order, nor
 # top level; it would shadow the pcmamba.serialize submodule. Use
 # pcmamba.serialize.serialize or import it from the submodule.
 from .serialize import (
-    GridCoords,
-    SerializationOrder,
     code_func,
     cts_code,
     grid_quantize,
     hilbert_code,
     locality_metrics,
     morton_code,
-    order_from_name,
+    order_codes,
 )
 from .sample import (
     NeighborhoodIndex,

@@ -97,20 +97,17 @@ def _step_error(cells, codes):
     return int(np.abs(steps - 1).max())
 
 
-def _cts(cells, grid_n, name):
-    order = ser.order_from_name(name)
-    return ser.cts_code(cells, grid_n, order.axis_perm, order.mode)
-
-
-def cts_bijective(grid_n, names=ser.CTS_NAMES):
+def cts_bijective(grid_n):
+    """No two cells of the full grid share a code, in any of the six snake orders."""
     cells = _full_grid(grid_n)
-    worst = max(_duplicates(_cts(cells, grid_n, name)) for name in names)
+    worst = max(_duplicates(ser.order_codes(cells, grid_n, name)) for name in ser.CTS_NAMES)
     return _check(f"cts_bijective_grid{grid_n}", worst, 0)
 
 
-def cts_snake(grid_n, names=ser.CTS_NAMES):
+def cts_snake(grid_n):
+    """Each of the six snake orders walks the full grid in unit L1 steps."""
     cells = _full_grid(grid_n)
-    worst = max(_step_error(cells, _cts(cells, grid_n, name)) for name in names)
+    worst = max(_step_error(cells, ser.order_codes(cells, grid_n, name)) for name in ser.CTS_NAMES)
     return _check(f"cts_snake_grid{grid_n}", worst, 0)
 
 
@@ -123,7 +120,7 @@ def paper_literal_collides(grid_n):
 def axis_variant_identity():
     """yxz(a, b, c) == xyz(b, a, c) on every cell of the 8^3 grid."""
     cells = _full_grid(8)
-    yxz, swapped = _cts(cells, 8, "yxz"), _cts(cells[:, (1, 0, 2)], 8, "xyz")
+    yxz, swapped = ser.order_codes(cells, 8, "yxz"), ser.order_codes(cells[:, (1, 0, 2)], 8, "xyz")
     return _differing("axis_variant_identity_grid8", yxz, swapped)
 
 
@@ -151,9 +148,8 @@ def serialize_pure_function(rng, n):
     ns = normalize_unit_cube(PointCloud(coords[rng.permutation(n)]))
     mismatch = 0
     for name in ser.ORDER_NAMES:
-        order = ser.order_from_name(name)
-        a = nc.cloud.coords[ser.serialize(nc, order, 32)]
-        b = ns.cloud.coords[ser.serialize(ns, order, 32)]
+        a = nc.cloud.coords[ser.serialize(nc, name, 32)]
+        b = ns.cloud.coords[ser.serialize(ns, name, 32)]
         mismatch += int(not np.array_equal(a, b))
     return _check("serialize_pure_function_of_geometry", mismatch, 0)
 
@@ -161,8 +157,8 @@ def serialize_pure_function(rng, n):
 def refinement_preserves_distinction(rng):
     """Points sharing a grid-4 cell share their grid-2 cell."""
     nc = normalize_unit_cube(PointCloud(rng.uniform(0, 1, size=(200, 3))))
-    coarse = ser.cts_code(ser.grid_quantize(nc, 2).cells, 2)
-    fine = ser.cts_code(ser.grid_quantize(nc, 4).cells, 4)
+    coarse = ser.cts_code(ser.grid_quantize(nc, 2), 2)
+    fine = ser.cts_code(ser.grid_quantize(nc, 4), 4)
     merged = sum(int(np.any((fine == f) & (coarse != c))) for f, c in zip(fine, coarse))
     return _check("refinement_preserves_distinction", merged, 0)
 

@@ -6,9 +6,12 @@ suites), ``bench`` (linear-complexity scaling measurement), ``inspect``
 (parameter/FLOP accounting), and ``probe`` (frozen-feature linear probe).
 
 Reports are plain ``key=value`` lines, sections separated by blank lines;
-tabular output is CSV with a header row. Exit codes: 0 success, 1
-verification failure, 2 usage or configuration error (a config JSON with a
-missing, mistyped or non-positive field), 3 I/O, format or numeric-range
+tabular output is CSV with a header row. The count flags (``--n``,
+``--grid``, ``--window``, ``--channels``, ``--repeat``, ``--per-class`` and
+each ``--lengths`` entry) take positive integers; any other value is a
+usage error. Exit codes: 0 success, 1 verification failure, 2 usage or
+configuration error (a config JSON with a missing, mistyped or non-positive
+field, or an unknown serialization name), 3 I/O, format or numeric-range
 error (an xyz file that is not UTF-8 text, input or weights that overflow
 a computation); ``EXIT_CODES`` maps each error class to its code.
 """
@@ -50,7 +53,7 @@ from .model import (
     train_linear_probe,
 )
 from .pointset import PointCloud, normalize_unit_cube
-from .serialize import locality_metrics, order_from_name
+from .serialize import locality_metrics
 from .ssm import SelectiveSSMLayer, mamba_block
 
 EXIT_OK = 0
@@ -97,8 +100,7 @@ def _load_cloud(args) -> PointCloud:
     if getattr(args, "input", None):
         return read_xyz(args.input)
     if getattr(args, "gen", None):
-        n = args.n or 1024
-        return generate_shape(args.gen, n, noise_sigma=0.0, seed=args.seed)
+        return generate_shape(args.gen, args.n, noise_sigma=0.0, seed=args.seed)
     raise UsageError("provide --input PATH or --gen SHAPE")
 
 
@@ -123,17 +125,11 @@ def cmd_serialize(args) -> int:
         f"mode={args.mode}",
         f"window={args.window}",
     ]
-    orders = []
-    for name in names:
-        try:
-            orders.append(order_from_name(name, mode=mode))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    perms = [ser.serialize(normalized, order, grid_n=args.grid) for order in orders]
+    perms = [ser.serialize(normalized, name, args.grid, mode) for name in names]
     all_metrics = locality_metrics(normalized.cloud, perms, window=args.window)
     rows = []
-    for name, order, metrics in zip(names, orders, all_metrics):
-        collisions = ser.count_code_collisions(normalized, order, args.grid)
+    for name, metrics in zip(names, all_metrics):
+        collisions = ser.count_code_collisions(normalized, name, args.grid, mode)
         lines.append("")
         lines.append(f"order={name}")
         lines.append(f"mean_gap={_fmt(metrics['mean_gap'])}")
@@ -355,7 +351,7 @@ def run_bench(lengths, channels=64, repeat=3, baseline="attention", seed=0):
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(v) for v in args.lengths.split(",") if v]
+    lengths = args.lengths
     if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise UsageError("--lengths must be at least two strictly increasing integers")
     rows, exponents, ratios = run_bench(
@@ -416,8 +412,8 @@ def cmd_inspect(args) -> int:
 # probe
 
 
-def make_probe_corpus(classes=3, per_class=100, n=1024, seed=0, noise_sigma=0.02):
-    """Seeded sphere/cube/torus(/plane) clouds with class labels."""
+def make_probe_corpus(classes=3, per_class=100, n=1024, seed=0):
+    """Seeded sphere/cube/torus(/plane) clouds, Gaussian jitter 0.02, with class labels."""
     from .io import SHAPE_KINDS
 
     if not 2 <= classes <= len(SHAPE_KINDS):
@@ -426,7 +422,7 @@ def make_probe_corpus(classes=3, per_class=100, n=1024, seed=0, noise_sigma=0.02
     for c in range(classes):
         for i in range(per_class):
             shape_seed = seed * 1_000_003 + c * 10_007 + i
-            clouds.append(generate_shape(SHAPE_KINDS[c], n, noise_sigma, shape_seed))
+            clouds.append(generate_shape(SHAPE_KINDS[c], n, 0.02, shape_seed))
             labels.append(c)
     return clouds, np.asarray(labels, dtype=np.int64)
 
@@ -435,7 +431,7 @@ def probe_features(model, clouds) -> np.ndarray:
     return np.stack([encode(model, c).pooled for c in clouds])
 
 
-def run_probe(classes=3, per_class=100, n=1024, seed=0, epochs=300, lr=0.5):
+def run_probe(classes=3, per_class=100, n=1024, seed=0):
     clouds, labels = make_probe_corpus(classes, per_class, n, seed)
     model = build_model(preset_config("pcm-tiny", num_classes=classes, seed=seed))
     feats = probe_features(model, clouds)
@@ -446,7 +442,7 @@ def run_probe(classes=3, per_class=100, n=1024, seed=0, epochs=300, lr=0.5):
     train_y, test_y = labels[~test_mask], labels[test_mask]
     mean = train_x.mean(axis=0)
     std = train_x.std(axis=0) + 1e-8
-    probe = train_linear_probe((train_x - mean) / std, train_y, epochs=epochs, lr=lr, seed=seed)
+    probe = train_linear_probe((train_x - mean) / std, train_y, seed=seed)
     test_pred = probe.predict((test_x - mean) / std)
     return {
         "train_accuracy": probe.train_accuracy,
@@ -477,6 +473,18 @@ def cmd_probe(args) -> int:
 # parser
 
 
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _positive_ints(text) -> list:
+    """A comma-separated list of positive integers (empty entries skipped)."""
+    return [_positive_int(v) for v in text.split(",") if v]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcmamba",
@@ -484,18 +492,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, default_n=1024):
+    def add_io(p):
         p.add_argument("--input", help="xyz file: 'x y z [features...]' per line")
         p.add_argument("--gen", choices=("sphere", "cube", "torus", "plane"))
-        p.add_argument("--n", type=int, default=default_n, help="points for --gen")
+        p.add_argument("--n", type=_positive_int, default=1024, help="points for --gen")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("serialize", help="serialization locality analysis")
     add_io(p)
     p.add_argument("--order", default="xyz", help=f"one of: {', '.join(ser.ORDER_NAMES)}")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_positive_int, default=64)
     p.add_argument("--mode", choices=("paper", "bijective"), default="bijective")
-    p.add_argument("--window", type=int, default=8)
+    p.add_argument("--window", type=_positive_int, default=8)
     p.add_argument("--compare-all", action="store_true")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_serialize)
@@ -518,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="scaling benchmark of the sequence kernels")
-    p.add_argument("--lengths", default="1024,2048,4096,8192")
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--lengths", type=_positive_ints, default="1024,2048,4096,8192")
+    p.add_argument("--channels", type=_positive_int, default=64)
+    p.add_argument("--repeat", type=_positive_int, default=3)
     p.add_argument("--baseline", choices=("none", "attention"), default="attention")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path")
@@ -528,14 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="parameter and FLOP accounting")
     p.add_argument("--config", default="pcm-tiny")
-    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--n", type=_positive_int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser("probe", help="linear probe on frozen pooled features")
     p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", type=int, default=100)
-    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--per-class", type=_positive_int, default=100)
+    p.add_argument("--n", type=_positive_int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_probe)
     return parser

@@ -84,8 +84,7 @@ def generate_shape(kind: str, n: int, noise_sigma: float = 0.0, seed: int = 0) -
     """Seeded uniform surface sample of a unit-scale shape plus Gaussian jitter.
 
     Shapes: unit sphere; cube surface with half-extent 1; torus with major
-    radius 1 and minor radius 0.4; unit plane square in z = 0. Labels carry
-    the shape's kind id.
+    radius 1 and minor radius 0.4; unit plane square in z = 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -127,8 +126,7 @@ def generate_shape(kind: str, n: int, noise_sigma: float = 0.0, seed: int = 0) -
         coords[:, :2] = rng.uniform(-1.0, 1.0, size=(n, 2))
     if noise_sigma > 0:
         coords = coords + rng.normal(0.0, noise_sigma, size=coords.shape)
-    labels = np.full(n, SHAPE_KINDS.index(kind), dtype=np.int64)
-    return PointCloud(coords=coords, labels=labels)
+    return PointCloud(coords=coords)
 
 
 def save_weights(model, path) -> None:

@@ -148,10 +148,7 @@ class MLPStack:
 
 def _fold(lin: np.ndarray, const: np.ndarray, affine: AffineMap):
     """``affine(lin[j] - lin[i] + const)`` as ``out[j] - out[i] + out_const``."""
-    out_const = affine.w @ const
-    if affine.b is not None:
-        out_const += affine.b
-    return lin @ affine.w.T, out_const
+    return lin @ affine.w.T, affine.w @ const + affine.b
 
 
 def _rows(lin: np.ndarray, const: np.ndarray, neighbors, centers) -> np.ndarray:

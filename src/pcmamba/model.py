@@ -25,11 +25,14 @@ from .local import GAMParams, MLPStack, local_aggregate
 from .nn import AffineMap, silu
 from .pointset import NormalizedCloud, PointCloud, canonical_tiebreak_order, normalize_unit_cube
 from .sample import NeighborhoodIndex, farthest_point_sample, interpolate_features, knn
-from .serialize import order_from_name, serialize
+from .serialize import ORDER_NAMES, serialize
 from .ssm import SelectiveSSMLayer, bidirectional_mamba
 
 TASK_CLASSIFICATION = "classification"
 TASK_SEGMENTATION = "part_segmentation"
+
+# Width of the hidden layer of the classification head.
+HEAD_HIDDEN = 256
 
 
 def _require_count(config, minimums):
@@ -58,6 +61,11 @@ class StageConfig:
                 f"stage declares {self.num_layers} layers but "
                 f"{len(self.serializations)} serializations"
             )
+        for name in self.serializations:
+            if name not in ORDER_NAMES:
+                raise ConfigurationError(
+                    f"unknown serialization {name!r}; valid names: {', '.join(ORDER_NAMES)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,6 @@ class ModelConfig:
     state_size: int = 16
     expand: int = 1
     conv_width: int = 4
-    head_hidden: int = 256
 
     def __post_init__(self):
         if len(self.stages) != 4:
@@ -91,7 +98,6 @@ class ModelConfig:
                 "state_size": 1,
                 "expand": 1,
                 "conv_width": 1,
-                "head_hidden": 1,
             },
         )
 
@@ -165,8 +171,7 @@ class StageModule:
     gam: GAMParams
     phi1: MLPStack
     phi2: MLPStack
-    layers: list  # [(fwd, bwd) SelectiveSSMLayer pairs]
-    orders: list  # SerializationOrder per layer
+    layers: list  # [(fwd, bwd) SelectiveSSMLayer pairs], one per serialization
 
     def named_params(self, prefix: str):
         yield from self.gam.named_params(f"{prefix}.gam")
@@ -258,8 +263,7 @@ def _assemble(config: ModelConfig, rng) -> Model:
             )
             for _ in range(sc.num_layers)
         ]
-        orders = [order_from_name(name) for name in sc.serializations]
-        stages.append(StageModule(gam=gam, phi1=phi1, phi2=phi2, layers=layers, orders=orders))
+        stages.append(StageModule(gam=gam, phi1=phi1, phi2=phi2, layers=layers))
         d_prev = d
     pos_maps = [PositionalMap.init(rng, sc.channels) for sc in config.stages]
     bank = OrderPromptBank.init(
@@ -274,8 +278,8 @@ def _assemble(config: ModelConfig, rng) -> Model:
     d_last = config.stages[-1].channels
     if config.task == TASK_CLASSIFICATION:
         head = [
-            AffineMap.init(rng, d_last, config.head_hidden),
-            AffineMap.init(rng, config.head_hidden, config.num_classes),
+            AffineMap.init(rng, d_last, HEAD_HIDDEN),
+            AffineMap.init(rng, HEAD_HIDDEN, config.num_classes),
         ]
     else:
         transforms = []
@@ -305,11 +309,6 @@ class EncodeResult:
     stage_feats: list  # features per stage, after that stage's Mamba layers
     full_coords: np.ndarray  # all input points, normalized, canonical order
     canonical_perm: np.ndarray  # input index of each canonical position
-
-
-def _wrap_normalized(coords: np.ndarray) -> NormalizedCloud:
-    cloud = PointCloud(coords)
-    return NormalizedCloud(cloud=cloud, original_min=np.zeros(3), original_scale=1.0)
 
 
 def encode(model: Model, cloud: PointCloud) -> EncodeResult:
@@ -353,10 +352,10 @@ def encode(model: Model, cloud: PointCloud) -> EncodeResult:
         hood = NeighborhoodIndex(centers=centers, neighbors=hood.neighbors, k=k)
         feats = local_aggregate(feats, hood, stage.phi1, stage.phi2, stage.gam)
         coords = coords[centers]
-        for order, (fwd, bwd) in zip(stage.orders, stage.layers):
-            perm = serialize(_wrap_normalized(coords), order, cfg.grid_n)
+        for name, (fwd, bwd) in zip(sc.serializations, stage.layers):
+            perm = serialize(NormalizedCloud(PointCloud(coords)), name, cfg.grid_n)
             seq = feats[perm] + positional_embed(coords[perm], model.pos_maps[l])
-            seq = attach_prompts(seq, order.name, model.prompt_bank, l)
+            seq = attach_prompts(seq, name, model.prompt_bank, l)
             seq = bidirectional_mamba(seq, fwd, bwd)
             seq = strip_prompts(seq, cfg.n_p)
             feats = np.empty_like(seq)
@@ -389,9 +388,9 @@ def forward_segmentation(model: Model, cloud: PointCloud) -> np.ndarray:
     enc = encode(model, cloud)
     f = enc.stage_feats[3]
     for (t1, t2), lvl in zip(model.decoder.transforms, (2, 1, 0)):
-        up = interpolate_features(enc.stage_coords[lvl], enc.stage_coords[lvl + 1], f, k=3)
+        up = interpolate_features(enc.stage_coords[lvl], enc.stage_coords[lvl + 1], f)
         f = t2(silu(t1(np.hstack([up, enc.stage_feats[lvl]]))))
-    full = interpolate_features(enc.full_coords, enc.stage_coords[0], f, k=3)
+    full = interpolate_features(enc.full_coords, enc.stage_coords[0], f)
     logits_canon = model.decoder.classifier(full)
     out = np.empty_like(logits_canon)
     out[enc.canonical_perm] = logits_canon
@@ -454,8 +453,8 @@ def estimate_flops(model: Model, n_points: int) -> int:
         total += sc.num_layers * per_layer
         d_prev = d
     if cfg.task == TASK_CLASSIFICATION:
-        total += cfg.stages[-1].channels * cfg.head_hidden
-        total += cfg.head_hidden * cfg.num_classes
+        total += cfg.stages[-1].channels * HEAD_HIDDEN
+        total += HEAD_HIDDEN * cfg.num_classes
     else:
         for lvl in (2, 1, 0):
             d = cfg.stages[lvl].channels

@@ -54,13 +54,12 @@ class AffineMap:
     """y = x @ w.T + b with weight shape (d_out, d_in)."""
 
     w: np.ndarray
-    b: np.ndarray | None = None
+    b: np.ndarray
 
     @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True):
+    def init(cls, rng: np.random.Generator, d_in: int, d_out: int):
         limit = 1.0 / np.sqrt(d_in)
-        w = rng.uniform(-limit, limit, size=(d_out, d_in))
-        return cls(w=w, b=np.zeros(d_out) if bias else None)
+        return cls(w=rng.uniform(-limit, limit, size=(d_out, d_in)), b=np.zeros(d_out))
 
     @property
     def d_in(self) -> int:
@@ -76,11 +75,9 @@ class AffineMap:
                 f"affine expects {self.d_in} input channels, got {x.shape[-1]}"
             )
         y = x @ self.w.T
-        if self.b is not None:
-            y += self.b
+        y += self.b
         return y
 
     def named_params(self, prefix: str):
         yield f"{prefix}.w", self.w
-        if self.b is not None:
-            yield f"{prefix}.b", self.b
+        yield f"{prefix}.b", self.b

@@ -1,12 +1,14 @@
 """Point-cloud containers, unit-cube normalization, and canonical ordering.
 
 Coordinates are stored as 64-bit floats so that ordering decisions
-(serialization codes, tie-breaks) are reproducible bit-for-bit.
+(serialization codes, tie-breaks) are reproducible bit-for-bit. A
+``NormalizedCloud`` marks a cloud whose coordinates already lie in the unit
+cube, the input the serialization orders quantize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,14 +17,13 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with 3-D coordinates plus optional per-point features/labels.
+    """N points with 3-D coordinates plus optional per-point features.
 
     Immutable after construction; all operations on it are pure functions.
     """
 
     coords: np.ndarray
     features: np.ndarray | None = None
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         coords = np.ascontiguousarray(self.coords, dtype=np.float64)
@@ -43,40 +44,25 @@ class PointCloud:
             if not np.isfinite(feats).all():
                 raise InvalidInputError("features contain NaN or Inf")
             object.__setattr__(self, "features", feats)
-        if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-            if labels.shape != (coords.shape[0],):
-                raise InvalidInputError("labels must be a length-N integer vector")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n_points(self) -> int:
         return self.coords.shape[0]
 
     def select(self, indices) -> "PointCloud":
-        """Sub-cloud at the given point indices (features/labels carried along)."""
+        """Sub-cloud at the given point indices (features carried along)."""
         idx = np.asarray(indices)
         return PointCloud(
             coords=self.coords[idx],
             features=None if self.features is None else self.features[idx],
-            labels=None if self.labels is None else self.labels[idx],
         )
 
 
 @dataclass(frozen=True)
 class NormalizedCloud:
-    """A cloud whose coords live in [0, 1]^3, plus the inverse transform.
-
-    ``denormalize`` (coords * original_scale + original_min) recovers the
-    inputs; a zero-extent axis stores an offset so the round trip still holds.
-    """
+    """A cloud whose coords live in [0, 1]^3."""
 
     cloud: PointCloud
-    original_min: np.ndarray = field(repr=False)
-    original_scale: float = 1.0
-
-    def denormalize(self) -> np.ndarray:
-        return self.cloud.coords * self.original_scale + self.original_min
 
 
 def normalize_unit_cube(cloud: PointCloud) -> NormalizedCloud:
@@ -94,15 +80,8 @@ def normalize_unit_cube(cloud: PointCloud) -> NormalizedCloud:
     if scale <= 0.0:
         scale = 1.0
     normalized = (coords - lo) / scale
-    degenerate = extent <= 0.0
-    if degenerate.any():
-        normalized = normalized.copy()
-        normalized[:, degenerate] = 0.5
-        # keep denormalization exact on flat axes
-        lo = lo.copy()
-        lo[degenerate] = coords[0, degenerate] - 0.5 * scale
-    out = PointCloud(coords=normalized, features=cloud.features, labels=cloud.labels)
-    return NormalizedCloud(cloud=out, original_min=lo, original_scale=scale)
+    normalized[:, extent <= 0.0] = 0.5
+    return NormalizedCloud(PointCloud(coords=normalized, features=cloud.features))
 
 
 def canonical_tiebreak_order(coords: np.ndarray) -> np.ndarray:

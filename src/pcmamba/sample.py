@@ -18,7 +18,9 @@ from .pointset import PointCloud, canonical_tiebreak_order
 # of 8 MB each, so a large query costs 16 MB of scratch.
 _BLOCK_ENTRIES = 1_000_000
 
-# Target rows per gather of source features in interpolate_features.
+# Nearest sources averaged per target, and target rows per gather of source
+# features, in interpolate_features.
+_INTERP_K = 3
 _INTERP_BLOCK_ROWS = 1024
 
 
@@ -155,14 +157,12 @@ def knn(query_coords, base_coords, k: int) -> NeighborhoodIndex:
     return NeighborhoodIndex(centers=np.arange(len(query)), neighbors=neighbors, k=k)
 
 
-def interpolate_features(
-    target_coords, source_coords, source_features, k: int = 3
-) -> np.ndarray:
+def interpolate_features(target_coords, source_coords, source_features) -> np.ndarray:
     """Inverse-distance-weighted feature transfer from source to target points.
 
-    Each target gets the 1/d-weighted average of its k nearest sources; a
+    Each target gets the 1/d-weighted average of its 3 nearest sources; a
     target that coincides exactly with a source copies that source's feature.
-    The (rows, k, C) gather of source features runs in blocks of
+    The (rows, 3, C) gather of source features runs in blocks of
     ``_INTERP_BLOCK_ROWS`` target rows; each row's arithmetic is the same
     as in one pass over all rows.
     """
@@ -171,11 +171,11 @@ def interpolate_features(
     feats = np.asarray(source_features, dtype=np.float64)
     if len(source) == 0:
         raise InvalidInputError("interpolation needs at least one source point")
-    if len(source) < k:
-        raise ValueError(f"need at least k={k} source points, got {len(source)}")
-    hood = knn(target, source, k)
+    if len(source) < _INTERP_K:
+        raise ValueError(f"need at least {_INTERP_K} source points, got {len(source)}")
+    hood = knn(target, source, _INTERP_K)
     diffs = target[:, None, :] - source[hood.neighbors]
-    dist = np.sqrt((diffs**2).sum(axis=2))  # (M, k), rows ascending
+    dist = np.sqrt((diffs**2).sum(axis=2))  # (M, 3), rows ascending
     out = np.empty((len(target), feats.shape[1]), dtype=feats.dtype)
     exact = dist[:, 0] == 0.0
     if exact.any():

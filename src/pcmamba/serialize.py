@@ -1,10 +1,12 @@
 """Flatten 3-D point clouds into 1-D sequences.
 
-Four orderings are provided: the snake-traversal family (six axis-permuted
-variants built from a boustrophedon pairing code), Morton/z-order,
-transposed z-order, and a 3-D Hilbert curve. All of them quantize the
-normalized cloud onto a grid, assign each cell an integer code, and sort
-points by code with deterministic tie-breaking.
+An order is named by a string, one of ``ORDER_NAMES``: the six snake
+traversals "xyz" ... "zyx" (axis-permuted variants of a boustrophedon
+pairing code), "z" (Morton), "z-trans" (transposed z-order) and "hilbert"
+(a 3-D Hilbert curve). Every order quantizes the normalized cloud onto a
+grid (``grid_quantize``), gives each cell an integer code
+(``order_codes(cells, grid_n, name, mode)``), and sorts points by code
+with deterministic tie-breaking (``serialize(cloud, name, grid_n, mode)``).
 
 The pairing code exists in two modes. ``paper_literal`` maps odd rows with
 ``(n2 + 1) * width - n1``, which collides at row boundaries (the end of an
@@ -15,8 +17,6 @@ depend on sort tie-breaking.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,64 +43,8 @@ MAX_GRID_CTS = 1 << 20
 MAX_GRID_INTERLEAVE = 1 << 21
 
 
-@dataclass(frozen=True)
-class GridCoords:
-    """Integer grid cells for every point, each component in [0, grid_n)."""
-
-    cells: np.ndarray
-    grid_n: int
-
-    def __post_init__(self):
-        cells = np.ascontiguousarray(self.cells, dtype=np.int64)
-        if self.grid_n < 1:
-            raise ValueError("grid_n must be >= 1")
-        if cells.min(initial=0) < 0 or cells.max(initial=0) >= self.grid_n:
-            raise ValueError("grid cell out of range")
-        object.__setattr__(self, "cells", cells)
-
-
-@dataclass(frozen=True)
-class SerializationOrder:
-    """A named ordering rule: snake variant, z, transposed z, or Hilbert."""
-
-    kind: str  # "cts" | "z" | "z_trans" | "hilbert"
-    axis_perm: tuple = (0, 1, 2)  # cts only
-    mode: str = MODE_BIJECTIVE  # cts only
-
-    def __post_init__(self):
-        if self.kind not in ("cts", "z", "z_trans", "hilbert"):
-            raise ValueError(f"unknown serialization kind {self.kind!r}")
-        if sorted(self.axis_perm) != [0, 1, 2]:
-            raise ValueError(f"axis_perm must permute (0,1,2), got {self.axis_perm}")
-        if self.mode not in (MODE_PAPER, MODE_BIJECTIVE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @property
-    def name(self) -> str:
-        if self.kind == "cts":
-            for name, perm in _CTS_PERMS.items():
-                if perm == tuple(self.axis_perm):
-                    return name
-        return {"z": "z", "z_trans": "z-trans", "hilbert": "hilbert"}[self.kind]
-
-
-def order_from_name(name: str, mode: str = MODE_BIJECTIVE) -> SerializationOrder:
-    """Build a SerializationOrder from one of the nine CLI names."""
-    if name in _CTS_PERMS:
-        return SerializationOrder(kind="cts", axis_perm=_CTS_PERMS[name], mode=mode)
-    if name == "z":
-        return SerializationOrder(kind="z")
-    if name == "z-trans":
-        return SerializationOrder(kind="z_trans")
-    if name == "hilbert":
-        return SerializationOrder(kind="hilbert")
-    raise ValueError(
-        f"unknown order name {name!r}; valid names: {', '.join(ORDER_NAMES)}"
-    )
-
-
-def grid_quantize(cloud: NormalizedCloud, grid_n: int) -> GridCoords:
-    """Quantize normalized coords onto a grid: cell = floor(coord * grid_n).
+def grid_quantize(cloud: NormalizedCloud, grid_n: int) -> np.ndarray:
+    """N x 3 int64 grid cells of normalized coords: cell = floor(coord * grid_n).
 
     A coordinate of exactly 1.0 is clamped into the last cell.
     """
@@ -109,7 +53,7 @@ def grid_quantize(cloud: NormalizedCloud, grid_n: int) -> GridCoords:
     coords = cloud.cloud.coords
     cells = np.floor(coords * grid_n).astype(np.int64)
     np.clip(cells, 0, grid_n - 1, out=cells)
-    return GridCoords(cells=cells, grid_n=grid_n)
+    return cells
 
 
 def code_func(n1, n2, width: int, mode: str = MODE_BIJECTIVE):
@@ -234,45 +178,48 @@ def hilbert_code(cells, grid_n: int):
     return code.astype(np.int64)
 
 
-def serialization_codes(cells: np.ndarray, grid_n: int, order: SerializationOrder):
-    """Integer code per point for the given ordering rule."""
-    if order.kind == "cts":
-        return cts_code(cells, grid_n, axis_perm=order.axis_perm, mode=order.mode)
-    if order.kind == "z":
+def order_codes(cells, grid_n: int, name: str, mode: str = MODE_BIJECTIVE) -> np.ndarray:
+    """Integer code per row of an N x 3 cell array along the named order.
+
+    ``mode`` selects the pairing code of the six snake orders; the z-orders
+    and the Hilbert curve have one code each.
+    """
+    if name in _CTS_PERMS:
+        return cts_code(cells, grid_n, _CTS_PERMS[name], mode)
+    if name == "z":
         return morton_code(cells, grid_n)
-    if order.kind == "z_trans":
+    if name == "z-trans":
         # z-order with axis roles rotated to (y, z, x)
-        return morton_code(cells[:, (1, 2, 0)], grid_n)
-    if order.kind == "hilbert":
+        return morton_code(np.asarray(cells)[:, (1, 2, 0)], grid_n)
+    if name == "hilbert":
         return hilbert_code(cells, grid_n)
-    raise ValueError(f"unknown kind {order.kind!r}")
+    raise ValueError(f"unknown order name {name!r}; valid names: {', '.join(ORDER_NAMES)}")
 
 
 def serialize(
-    cloud: NormalizedCloud, order: SerializationOrder, grid_n: int = 64
+    cloud: NormalizedCloud, name: str, grid_n: int = 64, mode: str = MODE_BIJECTIVE
 ) -> np.ndarray:
-    """Permutation that orders the points along the chosen 1-D traversal.
+    """Permutation that orders the points along the named 1-D traversal.
 
     Points are stably sorted by their cell code; ties (points in the same
     cell) fall back to lexicographic coordinates and then input index, so
     the serialized coordinate sequence is a pure function of the geometry.
     """
-    cells = grid_quantize(cloud, grid_n).cells
-    codes = serialization_codes(cells, grid_n, order)
+    codes = order_codes(grid_quantize(cloud, grid_n), grid_n, name, mode)
     coords = cloud.cloud.coords
     return np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0], codes))
 
 
 def count_code_collisions(
-    cloud: NormalizedCloud, order: SerializationOrder, grid_n: int
+    cloud: NormalizedCloud, name: str, grid_n: int, mode: str = MODE_BIJECTIVE
 ) -> int:
     """Number of points sharing a code with a point in a *different* cell.
 
     Zero for any bijective ordering; positive in paper_literal mode whenever
     the row-boundary collision of the backward-row formula is hit.
     """
-    cells = grid_quantize(cloud, grid_n).cells
-    codes = np.asarray(serialization_codes(cells, grid_n, order), dtype=np.int64)
+    cells = grid_quantize(cloud, grid_n)
+    codes = order_codes(cells, grid_n, name, mode)
     pairs = np.unique(np.column_stack((codes, cells)), axis=0)  # distinct (code, cell)
     _, cells_per_code = np.unique(pairs[:, 0], return_counts=True)
     return int(cells_per_code[cells_per_code > 1].sum())

@@ -155,7 +155,7 @@ def test_criterion_09_linear_complexity_bench():
 
 def test_criterion_10_serialization_comparability():
     def mean_gap(nc, name, grid):
-        perm = ser.serialize(nc, ser.order_from_name(name), grid_n=grid)
+        perm = ser.serialize(nc, name, grid_n=grid)
         pts = nc.cloud.coords[perm]
         return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).mean())
 

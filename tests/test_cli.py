@@ -217,10 +217,12 @@ def _with_stage0(**fields):
         (_with_stage0(serializations="xyz"), "serializations"),
         ({**SMALL_CONFIG, "state_size": 0}, "state_size"),
         ({**SMALL_CONFIG, "n_p": -1}, "n_p"),
+        (_with_stage0(serializations=["spiral"]), "spiral"),
     ],
     ids=[
         "empty", "no-num_layers", "stages-int", "top-level-list", "channels-str",
         "channels-0", "serializations-str", "state_size-0", "n_p-negative",
+        "serialization-unknown",
     ],
 )
 def test_forward_malformed_config_exits_2(capsys, tmp_path, config, field):
@@ -412,6 +414,30 @@ def test_bench_baseline_none(capsys):
 def test_bench_rejects_non_increasing_lengths(capsys):
     code, _ = run(capsys, "bench", "--lengths", "512,256")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forward", "--gen", "sphere", "--n", "0"],
+        ["serialize", "--gen", "sphere", "--n", "-3"],
+        ["serialize", "--gen", "sphere", "--grid", "0"],
+        ["serialize", "--gen", "sphere", "--window", "0"],
+        ["inspect", "--n", "-5"],
+        ["bench", "--channels", "0"],
+        ["bench", "--lengths", "0,4"],
+        ["bench", "--repeat", "0"],
+        ["probe", "--per-class", "0"],
+        ["probe", "--n", "0"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_count_flags_must_be_positive(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "is not a positive integer" in err
+    assert "Traceback" not in err
 
 
 # -------------------------------------------------------------------- inspect

@@ -116,7 +116,6 @@ def test_shapes_deterministic():
         a = generate_shape(kind, 100, noise_sigma=0.01, seed=7)
         b = generate_shape(kind, 100, noise_sigma=0.01, seed=7)
         np.testing.assert_array_equal(a.coords, b.coords)
-        np.testing.assert_array_equal(a.labels, b.labels)
 
 
 def test_torus_mean_axial_radius_matches_analytic():

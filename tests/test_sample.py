@@ -187,14 +187,15 @@ def test_knn_rejects_non_finite_query():
 def test_interpolate_exact_match_copies_source():
     source = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]])
     feats = np.array([[1.0], [2.0], [3.0]])
-    out = interpolate_features(source[:1], source, feats, k=2)
+    out = interpolate_features(source[:1], source, feats)
     np.testing.assert_array_equal(out, [[1.0]])
 
 
 def test_interpolate_midpoint_symmetric():
-    source = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-    feats = np.array([[0.0], [2.0]])
-    out = interpolate_features(np.array([[0.5, 0.0, 0.0]]), source, feats, k=2)
+    # three sources 0.5 from the target weigh equally
+    source = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 0.5, 0]])
+    feats = np.array([[0.0], [2.0], [1.0]])
+    out = interpolate_features(np.array([[0.5, 0.0, 0.0]]), source, feats)
     np.testing.assert_allclose(out, [[1.0]])
 
 
@@ -203,7 +204,7 @@ def test_interpolate_matches_direct_formula():
     source = rng.uniform(size=(40, 3))
     feats = rng.normal(size=(40, 5))
     target = rng.uniform(size=(15, 3))
-    out = interpolate_features(target, source, feats, k=3)
+    out = interpolate_features(target, source, feats)
     for i, t in enumerate(target):
         d = np.linalg.norm(source - t, axis=1)
         nearest = np.argsort(d, kind="stable")[:3]
@@ -212,11 +213,11 @@ def test_interpolate_matches_direct_formula():
         np.testing.assert_allclose(out[i], w @ feats[nearest], rtol=1e-6, atol=1e-12)
 
 
-def test_interpolate_idempotent_k1():
+def test_interpolate_idempotent():
     rng = np.random.Generator(np.random.PCG64(7))
     coords = rng.uniform(size=(25, 3))
     feats = rng.normal(size=(25, 4))
-    out = interpolate_features(coords, coords, feats, k=1)
+    out = interpolate_features(coords, coords, feats)
     np.testing.assert_array_equal(out, feats)
 
 
@@ -248,11 +249,11 @@ def test_interpolate_row_blocks_equal_whole_array(kind):
         source = target[:1024] + rng.normal(scale=0.01, size=(1024, 3))
     feats = rng.normal(size=(1024, 192))
     np.testing.assert_array_equal(
-        interpolate_features(target, source, feats, k=3),
+        interpolate_features(target, source, feats),
         _interpolate_whole_array(target, source, feats, 3),
     )
 
 
 def test_interpolate_needs_sources():
     with pytest.raises(ValueError):
-        interpolate_features(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 1)), k=3)
+        interpolate_features(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 1)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pcmamba import checks
 from pcmamba import serialize as ser
 from pcmamba.errors import UndefinedMetricError
-from pcmamba.pointset import PointCloud, normalize_unit_cube
+from pcmamba.pointset import NormalizedCloud, PointCloud, normalize_unit_cube
 
 
 def full_grid(n):
@@ -20,23 +20,13 @@ def norm_cloud(coords):
     return normalize_unit_cube(PointCloud(np.asarray(coords, dtype=np.float64)))
 
 
-def as_normalized(coords):
-    """Wrap coords already in [0,1]^3 without rescaling them."""
-    from pcmamba.pointset import NormalizedCloud
-
-    return NormalizedCloud(
-        cloud=PointCloud(np.asarray(coords, dtype=np.float64)),
-        original_min=np.zeros(3),
-        original_scale=1.0,
-    )
-
-
 # --------------------------------------------------------------- quantization
 
 
 def test_grid_quantize_examples():
-    nc = as_normalized([[0.5, 0.5, 0.5], [1.0, 0.0, 1.0]])
-    cells = ser.grid_quantize(nc, 16).cells
+    # coords already in [0,1]^3, wrapped without rescaling
+    nc = NormalizedCloud(PointCloud(np.array([[0.5, 0.5, 0.5], [1.0, 0.0, 1.0]])))
+    cells = ser.grid_quantize(nc, 16)
     np.testing.assert_array_equal(cells[0], [8, 8, 8])
     np.testing.assert_array_equal(cells[1], [15, 0, 15])
 
@@ -44,7 +34,8 @@ def test_grid_quantize_examples():
 def test_grid_quantize_range():
     rng = np.random.Generator(np.random.PCG64(3))
     nc = norm_cloud(rng.uniform(size=(1000, 3)))
-    cells = ser.grid_quantize(nc, 32).cells
+    cells = ser.grid_quantize(nc, 32)
+    assert cells.dtype == np.int64
     assert cells.min() >= 0 and cells.max() <= 31
 
 
@@ -83,8 +74,7 @@ def test_code_func_rejects_out_of_range():
 
 def test_cts_zero_cell():
     for name in ser.CTS_NAMES:
-        order = ser.order_from_name(name)
-        assert ser.cts_code(np.array([[0, 0, 0]]), 4, order.axis_perm)[0] == 0
+        assert ser.order_codes(np.array([[0, 0, 0]]), 4, name)[0] == 0
 
 
 def test_cts_bijective_enumeration_grid2():
@@ -95,8 +85,14 @@ def test_cts_bijective_enumeration_grid2():
 @pytest.mark.parametrize("grid_n", [2, 4, 8, 16])
 @pytest.mark.parametrize("name", ser.CTS_NAMES)
 def test_cts_bijective_and_snake(grid_n, name):
-    assert checks.cts_bijective(grid_n, (name,)).passed
-    assert checks.cts_snake(grid_n, (name,)).passed
+    # an oracle per name, beside checks.cts_bijective and checks.cts_snake
+    # (the worst of the six names): the codes are exactly 0 .. grid_n**3 - 1,
+    # and consecutive codes are one unit step apart
+    cells = full_grid(grid_n)
+    codes = ser.order_codes(cells, grid_n, name)
+    np.testing.assert_array_equal(np.sort(codes), np.arange(grid_n**3))
+    steps = np.abs(np.diff(cells[np.argsort(codes)], axis=0)).sum(axis=1)
+    assert (steps == 1).all()
 
 
 def test_paper_literal_collides():
@@ -114,8 +110,7 @@ def test_axis_variant_relation_exhaustive():
     st.sampled_from(ser.CTS_NAMES),
 )
 def test_cts_code_within_range_property(cell, name):
-    order = ser.order_from_name(name)
-    code = ser.cts_code(np.array([cell]), 8, order.axis_perm)[0]
+    code = ser.order_codes(np.array([cell]), 8, name)[0]
     assert 0 <= code < 8**3
 
 
@@ -153,7 +148,7 @@ def test_grid_limits_enforced():
 
 
 def test_serialize_singleton():
-    perm = ser.serialize(norm_cloud([[0.3, 0.3, 0.3]]), ser.order_from_name("xyz"), 4)
+    perm = ser.serialize(norm_cloud([[0.3, 0.3, 0.3]]), "xyz", 4)
     np.testing.assert_array_equal(perm, [0])
 
 
@@ -164,8 +159,8 @@ def test_serialize_cell_centers_follow_snake():
     expected_cells = cells[np.argsort(codes)]
     centers = (cells + 0.5) / 2.0
     nc = norm_cloud(centers)
-    perm = ser.serialize(nc, ser.order_from_name("xyz"), 2)
-    visited = ser.grid_quantize(nc, 2).cells[perm]
+    perm = ser.serialize(nc, "xyz", 2)
+    visited = ser.grid_quantize(nc, 2)[perm]
     np.testing.assert_array_equal(visited, expected_cells)
 
 
@@ -176,7 +171,7 @@ def test_serialize_pure_function_of_geometry():
 def test_serialize_tie_break_by_coords_then_index():
     # two points in one cell: lexicographically smaller coordinate first
     nc = norm_cloud([[0.2, 0.9, 0.9], [0.1, 0.9, 0.9], [0.1, 0.9, 0.9]])
-    perm = ser.serialize(nc, ser.order_from_name("xyz"), 1)
+    perm = ser.serialize(nc, "xyz", 1)
     np.testing.assert_array_equal(perm, [1, 2, 0])
 
 
@@ -198,7 +193,7 @@ def test_locality_collinear_exact():
 def test_locality_full_grid_one_step():
     cells = full_grid(4)
     nc = norm_cloud((cells + 0.5) / 4.0)
-    perm = ser.serialize(nc, ser.order_from_name("xyz"), 4)
+    perm = ser.serialize(nc, "xyz", 4)
     metrics = ser.locality_metrics(nc.cloud, [perm], window=6)[0]
     # consecutive cells are L1-adjacent (checks.cts_snake), so every gap is
     # one grid step
@@ -211,7 +206,7 @@ def test_locality_random_permutation_worse_than_cts():
     rng = np.random.Generator(np.random.PCG64(17))
     coords = rng.uniform(size=(512, 3))
     nc = norm_cloud(coords)
-    cts_perm = ser.serialize(nc, ser.order_from_name("xyz"), 8)
+    cts_perm = ser.serialize(nc, "xyz", 8)
     random_perm = rng.permutation(512)
     cts, rnd = ser.locality_metrics(nc.cloud, [cts_perm, random_perm], 4)
     cts_gap, rnd_gap = cts["mean_gap"], rnd["mean_gap"]
@@ -227,14 +222,10 @@ def test_collision_count_paper_mode():
     cells = full_grid(4)
     centers = (cells + 0.5) / 4.0
     nc = norm_cloud(centers)
-    paper = ser.order_from_name("xyz", mode=ser.MODE_PAPER)
-    bij = ser.order_from_name("xyz")
-    assert ser.count_code_collisions(nc, paper, 4) > 0
-    assert ser.count_code_collisions(nc, bij, 4) == 0
+    assert ser.count_code_collisions(nc, "xyz", 4, ser.MODE_PAPER) > 0
+    assert ser.count_code_collisions(nc, "xyz", 4) == 0
 
 
-def test_order_names_roundtrip():
-    for name in ser.ORDER_NAMES:
-        assert ser.order_from_name(name).name == name
-    with pytest.raises(ValueError):
-        ser.order_from_name("spiral")
+def test_serialize_rejects_unknown_name():
+    with pytest.raises(ValueError, match="'spiral'; valid names: xyz, xzy"):
+        ser.serialize(norm_cloud([[0.3, 0.3, 0.3]]), "spiral", 4)
