@@ -32,7 +32,7 @@ from .ssm import (
     scan_backward,
     selective_ssm,
 )
-from .embed import OrderPromptBank, PositionalMap, attach_prompts, positional_embed, strip_prompts
+from .embed import OrderPromptBank, attach_prompts, positional_embed, strip_prompts
 from .model import (
     ModelConfig,
     StageConfig,

@@ -249,7 +249,7 @@ def gam_sigma_matches_oracle(neigh, centers):
 
 
 def _unit_gam(d, alpha=1.0):
-    return GAMParams(alpha=np.full(d, alpha), beta=None, delta=1e-300)
+    return GAMParams(alpha=np.full(d, alpha), beta=np.zeros(d), delta=1e-300)
 
 
 def gam_unit_rms(neigh, centers):

@@ -9,11 +9,14 @@ Reports are plain ``key=value`` lines, sections separated by blank lines;
 tabular output is CSV with a header row. The count flags (``--n``,
 ``--grid``, ``--window``, ``--channels``, ``--repeat``, ``--per-class`` and
 each ``--lengths`` entry) take positive integers; any other value is a
-usage error. Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error (a config JSON with a missing, mistyped or non-positive
-field, or an unknown serialization name), 3 I/O, format or numeric-range
-error (an xyz file that is not UTF-8 text, input or weights that overflow
-a computation); ``EXIT_CODES`` maps each error class to its code.
+usage error. ``--config`` takes a preset name or a config JSON whose
+fields are exactly those of ``StageConfig`` and ``ModelConfig`` less
+``task``, ``seed`` and ``in_features``. Exit codes: 0 success, 1
+verification failure, 2 usage or configuration error (a config JSON with a
+missing, unknown, mistyped or non-positive field, or an unknown
+serialization name), 3 I/O, format or numeric-range error (an xyz file
+that is not UTF-8 text, feature columns or weights that overflow a
+computation); ``EXIT_CODES`` maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -39,7 +43,10 @@ from .errors import (
 )
 from .io import generate_shape, load_weights, read_xyz
 from .model import (
+    _PRESETS,
     PUBLISHED_SIZES,
+    TASK_CLASSIFICATION,
+    TASK_SEGMENTATION,
     ModelConfig,
     StageConfig,
     _unfilled_model,
@@ -83,10 +90,8 @@ EXIT_CODES = {
 }
 
 
-def _emit(lines, fh=None):
-    out = fh or sys.stdout
-    for line in lines:
-        out.write(line + "\n")
+def _emit(lines):
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _write_csv(path, header, rows):
@@ -153,52 +158,53 @@ def cmd_serialize(args) -> int:
 # config resolution
 
 
-_STAGE_KEYS = ("channels", "num_layers", "serializations", "points")
+# ModelConfig fields that the command line sets, not a config file
+_CLI_FIELDS = ("task", "seed", "in_features")
 
 
-def config_from_file(path, task, num_classes=None, in_features=0, seed=0) -> ModelConfig:
-    """Model config from a JSON object with a "stages" list; the value checks
-    are those of StageConfig and ModelConfig, shared with the presets."""
+def _check_keys(where, raw, cls):
+    valid = [f.name for f in fields(cls) if f.name not in _CLI_FIELDS]
+    for key in raw:
+        if key not in valid:
+            hint = " (the command line sets it)" if key in _CLI_FIELDS else ""
+            raise ConfigurationError(
+                f"{where}: {key!r} is not a config field{hint}; valid: {', '.join(valid)}"
+            )
+
+
+def config_from_file(path, task, num_classes, in_features=0, seed=0) -> ModelConfig:
+    """Model config from a JSON object: its keys are ModelConfig's fields
+    except task, seed and in_features, which the command line sets, and its
+    "stages" list holds objects whose keys are StageConfig's fields. A field
+    the file leaves out takes the dataclass default (``num_classes`` the
+    given one); the value checks are those of the dataclasses."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not isinstance(raw.get("stages"), list):
         raise ConfigurationError(f"{path}: expected a JSON object with a 'stages' list")
+    _check_keys(str(path), raw, ModelConfig)
+    stages = []
     for i, s in enumerate(raw["stages"]):
         if not isinstance(s, dict):
             raise ConfigurationError(f"{path}: stage {i} must be a JSON object")
-        missing = [key for key in _STAGE_KEYS if key not in s]
+        _check_keys(f"{path}: stage {i}", s, StageConfig)
+        missing = [f.name for f in fields(StageConfig) if f.default is MISSING and f.name not in s]
         if missing:
             raise ConfigurationError(f"{path}: stage {i} lacks {', '.join(missing)}")
         names = s["serializations"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ConfigurationError(f"{path}: stage {i} serializations must be a list of names")
-    stages = tuple(
-        StageConfig(
-            channels=s["channels"],
-            num_layers=s["num_layers"],
-            serializations=tuple(s["serializations"]),
-            points=s["points"],
-            k_neighbors=s.get("k_neighbors", 12),
-        )
-        for s in raw["stages"]
-    )
+        stages.append(StageConfig(**{**s, "serializations": tuple(names)}))
     return ModelConfig(
-        stages=stages,
-        n_p=raw.get("n_p", 6),
-        grid_n=raw.get("grid_n", 64),
+        **{"num_classes": num_classes, **raw, "stages": tuple(stages)},
         task=task,
-        num_classes=raw.get("num_classes", num_classes or 15),
         seed=seed,
         in_features=in_features,
-        prompt_width=raw.get("prompt_width", 64),
-        state_size=raw.get("state_size", 16),
-        expand=raw.get("expand", 1),
-        conv_width=raw.get("conv_width", 4),
     )
 
 
 def _resolve_config(name_or_path, task, num_classes, in_features=0, seed=0) -> ModelConfig:
-    if name_or_path in ("pcm", "pcm-tiny"):
+    if name_or_path in _PRESETS:
         return preset_config(
             name_or_path, task=task, num_classes=num_classes, seed=seed, in_features=in_features
         )
@@ -211,7 +217,7 @@ def _resolve_config(name_or_path, task, num_classes, in_features=0, seed=0) -> M
 
 def cmd_forward(args) -> int:
     cloud = _load_cloud(args)
-    task = "classification" if args.task == "cls" else "part_segmentation"
+    task = TASK_CLASSIFICATION if args.task == "cls" else TASK_SEGMENTATION
     num_classes = 15 if args.task == "cls" else 50
     in_features = 0 if cloud.features is None else cloud.features.shape[1]
     config = _resolve_config(args.config, task, num_classes, in_features, seed=args.seed)
@@ -388,7 +394,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    config = _resolve_config(args.config, "classification", 15, seed=args.seed)
+    config = _resolve_config(args.config, TASK_CLASSIFICATION, 15, seed=args.seed)
     model = _unfilled_model(config)  # counts and MACs read no parameter value
     groups = count_parameters(model, per_module=True)
     total = sum(groups.values())

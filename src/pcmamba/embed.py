@@ -1,9 +1,10 @@
 """Order prompts and coordinate positional embeddings.
 
-Order prompts are learnable boundary tokens, one bank entry per
-serialization order, projected into each stage's channel width by a
-projection shared across that stage's layers and concatenated to both ends
-of the sequence. Positional embeddings are a per-stage affine map of the
+Order prompts are learnable boundary tokens, ``n_p`` vectors of width
+``PROMPT_WIDTH`` per serialization order, projected into each stage's
+channel width by a projection shared across that stage's layers and
+concatenated to both ends of the sequence. Positional embeddings are a
+per-stage affine map (an ``AffineMap`` from 3 to the stage width) of the
 raw 3-D coordinates, shared by all layers in the stage.
 """
 
@@ -16,57 +17,37 @@ import numpy as np
 from .errors import ConfigurationError
 from .nn import AffineMap
 
+# width of every order prompt before its stage projection
+PROMPT_WIDTH = 64
+
 # standard deviation of the normal draw that initializes each order prompt
 PROMPT_INIT_SCALE = 0.02
 
 
-@dataclass
-class PositionalMap:
-    """Per-stage affine map from 3-D coordinates to the stage channel width."""
-
-    affine: AffineMap
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, d_out: int):
-        return cls(affine=AffineMap.init(rng, 3, d_out))
-
-    def named_params(self, prefix: str):
-        yield from self.affine.named_params(f"{prefix}.affine")
-
-
-def positional_embed(coords: np.ndarray, stage_map: PositionalMap) -> np.ndarray:
+def positional_embed(coords: np.ndarray, affine: AffineMap) -> np.ndarray:
     """Rowwise affine embedding of coordinates; equal coords give equal rows."""
-    return stage_map.affine(coords)
+    return affine(coords)
 
 
 @dataclass
 class OrderPromptBank:
     """N_p learnable vectors per serialization order plus per-stage projections.
 
-    ``prompts`` maps an order name to an (N_p, P) array; ``stage_proj`` holds
-    one shared P -> D_stage affine per stage.
+    ``prompts`` maps an order name to an (N_p, PROMPT_WIDTH) array;
+    ``stage_proj`` holds one shared PROMPT_WIDTH -> D_stage affine per stage.
     """
 
     prompts: dict
     stage_proj: list
-    n_p: int
-    native_width: int
 
     @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        order_names,
-        stage_widths,
-        n_p: int = 6,
-        native_width: int = 64,
-    ):
+    def init(cls, rng: np.random.Generator, order_names, stage_widths, n_p: int):
         prompts = {
-            name: rng.normal(0.0, PROMPT_INIT_SCALE, size=(n_p, native_width))
+            name: rng.normal(0.0, PROMPT_INIT_SCALE, size=(n_p, PROMPT_WIDTH))
             for name in order_names
         }
-        proj = [AffineMap.init(rng, native_width, d) for d in stage_widths]
-        return cls(prompts=prompts, stage_proj=proj, n_p=n_p, native_width=native_width)
+        proj = [AffineMap.init(rng, PROMPT_WIDTH, d) for d in stage_widths]
+        return cls(prompts=prompts, stage_proj=proj)
 
     def projected(self, order_name: str, stage: int) -> np.ndarray:
         if order_name not in self.prompts:
@@ -86,18 +67,14 @@ def attach_prompts(
     seq: np.ndarray, order_name: str, bank: OrderPromptBank, stage: int
 ) -> np.ndarray:
     """Prepend and append the order's projected prompts to the sequence."""
-    if bank.n_p == 0:
-        return seq
     block = bank.projected(order_name, stage)
     return np.vstack([block, seq, block])
 
 
 def strip_prompts(seq: np.ndarray, n_p: int) -> np.ndarray:
     """Drop the first and last n_p tokens (the prompt positions)."""
-    if n_p == 0:
-        return seq
     if seq.shape[0] < 2 * n_p:
         raise ValueError(
             f"sequence of length {seq.shape[0]} is too short to strip 2*{n_p} prompts"
         )
-    return seq[n_p:-n_p]
+    return seq[n_p : len(seq) - n_p]

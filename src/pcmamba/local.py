@@ -27,12 +27,12 @@ _BLOCK_NEIGHBOR_ROWS = 768
 class GAMParams:
     """Per-channel scale/shift for the geometric affine normalization.
 
-    ``alpha`` multiplies the normalized deviations, ``beta`` (optional,
-    zero-initialized) shifts them, ``delta`` guards the division.
+    ``alpha`` multiplies the normalized deviations, ``beta``
+    (zero-initialized) shifts them, ``delta`` guards the division.
     """
 
     alpha: np.ndarray
-    beta: np.ndarray | None = None
+    beta: np.ndarray
     delta: float = 1e-5
 
     def __post_init__(self):
@@ -45,8 +45,7 @@ class GAMParams:
 
     def named_params(self, prefix: str):
         yield f"{prefix}.alpha", self.alpha
-        if self.beta is not None:
-            yield f"{prefix}.beta", self.beta
+        yield f"{prefix}.beta", self.beta
 
 
 def _rms(dev: np.ndarray) -> float:
@@ -74,8 +73,7 @@ def gam_normalize(
     dev = neighborhood_features - center_features[:, None, :]
     out = params.alpha * dev
     out /= _rms(dev) + params.delta
-    if params.beta is not None:
-        out += params.beta
+    out += params.beta
     return out
 
 
@@ -194,7 +192,7 @@ def local_aggregate(
     sigma = _rms(dev)
     del dev
     lin = features * (gam.alpha / (sigma + gam.delta))
-    const = np.zeros(lin.shape[1]) if gam.beta is None else gam.beta
+    const = gam.beta
     if phi1.entry is not None:
         lin, const = _fold(lin, const, phi1.entry)
     first, rest = phi1.blocks[0], phi1.blocks[1:]

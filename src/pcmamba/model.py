@@ -15,18 +15,19 @@ order, drives every parameter initialization.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import OrderPromptBank, PositionalMap, attach_prompts, positional_embed, strip_prompts
-from .errors import ConfigurationError, DegenerateLabelsError, InvalidInputError
+from .embed import PROMPT_WIDTH, OrderPromptBank, attach_prompts, positional_embed, strip_prompts
+from .errors import ConfigurationError, DegenerateLabelsError, InvalidInputError, NumericRangeError
 from .local import GAMParams, MLPStack, local_aggregate
 from .nn import AffineMap, silu
 from .pointset import NormalizedCloud, PointCloud, canonical_tiebreak_order, normalize_unit_cube
 from .sample import NeighborhoodIndex, farthest_point_sample, interpolate_features, knn
 from .serialize import ORDER_NAMES, serialize
-from .ssm import SelectiveSSMLayer, bidirectional_mamba
+from .ssm import CONV_WIDTH, STATE_SIZE, SelectiveSSMLayer, bidirectional_mamba
 
 TASK_CLASSIFICATION = "classification"
 TASK_SEGMENTATION = "part_segmentation"
@@ -70,6 +71,9 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """What varies between models; the Mamba layer's shape and the prompt
+    width are ``ssm.STATE_SIZE``, ``ssm.CONV_WIDTH`` and ``embed.PROMPT_WIDTH``."""
+
     stages: tuple
     n_p: int = 6
     grid_n: int = 64
@@ -77,29 +81,13 @@ class ModelConfig:
     num_classes: int = 15
     seed: int = 0
     in_features: int = 0
-    prompt_width: int = 64
-    state_size: int = 16
-    expand: int = 1
-    conv_width: int = 4
 
     def __post_init__(self):
         if len(self.stages) != 4:
             raise ConfigurationError("the encoder has exactly four stages")
         if self.task not in (TASK_CLASSIFICATION, TASK_SEGMENTATION):
             raise ConfigurationError(f"unknown task {self.task!r}")
-        _require_count(
-            self,
-            {
-                "n_p": 0,
-                "grid_n": 1,
-                "num_classes": 2,
-                "in_features": 0,
-                "prompt_width": 1,
-                "state_size": 1,
-                "expand": 1,
-                "conv_width": 1,
-            },
-        )
+        _require_count(self, {"n_p": 0, "grid_n": 1, "num_classes": 2, "in_features": 0})
 
     @property
     def order_names(self) -> tuple:
@@ -111,13 +99,12 @@ class ModelConfig:
         return tuple(seen)
 
 
-# Table-driven presets: Mamba layers {1,2,2,4} / {1,1,2,2}, channels
-# {384,384,768,768} / {192,192,384,384}, six order prompts, point schedule
-# {1024,512,256,128}.
+# Table-driven presets: channels {384,384,768,768} / {192,192,384,384},
+# one Mamba layer per serialization ({1,2,2,4} / {1,1,2,2}), six order
+# prompts, point schedule {1024,512,256,128}.
 _PRESETS = {
     "pcm": dict(
         channels=(384, 384, 768, 768),
-        layers=(1, 2, 2, 4),
         serializations=(
             ("xyz",),
             ("xzy", "yxz"),
@@ -127,7 +114,6 @@ _PRESETS = {
     ),
     "pcm-tiny": dict(
         channels=(192, 192, 384, 384),
-        layers=(1, 1, 2, 2),
         serializations=(("xyz",), ("xzy",), ("yxz", "yzx"), ("zxy", "zyx")),
     ),
 }
@@ -151,15 +137,8 @@ def preset_config(
         raise ConfigurationError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}")
     preset = _PRESETS[name]
     stages = tuple(
-        StageConfig(
-            channels=c,
-            num_layers=l,
-            serializations=s,
-            points=p,
-        )
-        for c, l, s, p in zip(
-            preset["channels"], preset["layers"], preset["serializations"], POINT_SCHEDULE
-        )
+        StageConfig(channels=c, num_layers=len(s), serializations=s, points=p)
+        for c, s, p in zip(preset["channels"], preset["serializations"], POINT_SCHEDULE)
     )
     return ModelConfig(
         stages=stages, task=task, num_classes=num_classes, seed=seed, in_features=in_features
@@ -199,7 +178,7 @@ class Model:
     config: ModelConfig
     stem: MLPStack
     stages: list
-    pos_maps: list
+    pos_maps: list  # per stage: AffineMap from 3-D coordinates to its width
     prompt_bank: OrderPromptBank
     head: list | None = None  # classification: [AffineMap, AffineMap]
     decoder: SegDecoder | None = None
@@ -208,8 +187,8 @@ class Model:
         yield from self.stem.named_params("stem")
         for l, stage in enumerate(self.stages):
             yield from stage.named_params(f"stage{l}")
-        for l, pm in enumerate(self.pos_maps):
-            yield from pm.named_params(f"pos.stage{l}")
+        for l, affine in enumerate(self.pos_maps):
+            yield from affine.named_params(f"pos.stage{l}.affine")
         yield from self.prompt_bank.named_params("prompts")
         if self.head is not None:
             yield from self.head[0].named_params("head.hidden")
@@ -253,25 +232,14 @@ def _assemble(config: ModelConfig, rng) -> Model:
         phi1 = MLPStack.init(rng, d_prev, d, depth=1)
         phi2 = MLPStack.init(rng, d, d, depth=1)
         layers = [
-            (
-                SelectiveSSMLayer.init(
-                    rng, d, config.state_size, config.expand, config.conv_width
-                ),
-                SelectiveSSMLayer.init(
-                    rng, d, config.state_size, config.expand, config.conv_width
-                ),
-            )
+            (SelectiveSSMLayer.init(rng, d), SelectiveSSMLayer.init(rng, d))
             for _ in range(sc.num_layers)
         ]
         stages.append(StageModule(gam=gam, phi1=phi1, phi2=phi2, layers=layers))
         d_prev = d
-    pos_maps = [PositionalMap.init(rng, sc.channels) for sc in config.stages]
+    pos_maps = [AffineMap.init(rng, 3, sc.channels) for sc in config.stages]
     bank = OrderPromptBank.init(
-        rng,
-        config.order_names,
-        [sc.channels for sc in config.stages],
-        n_p=config.n_p,
-        native_width=config.prompt_width,
+        rng, config.order_names, [sc.channels for sc in config.stages], config.n_p
     )
     head = None
     decoder = None
@@ -338,30 +306,37 @@ def encode(model: Model, cloud: PointCloud) -> EncodeResult:
         keep = np.arange(len(full_coords))
     coords = full_coords[keep]
     stem_in = coords if work.features is None else np.hstack([coords, work.features[keep]])
-    feats = model.stem(stem_in)
-
+    # coordinates are normalized, so only feature columns (or weights) this
+    # large overflow; report it rather than run inf on into the output
     stage_coords, stage_feats = [], []
-    for l, (sc, stage) in enumerate(zip(cfg.stages, model.stages)):
-        if l == 0:
-            centers = np.arange(len(coords))
-        else:
-            m = min(sc.points, len(coords))
-            centers = np.sort(farthest_point_sample(coords, m))
-        k = min(sc.k_neighbors, len(coords))
-        hood = knn(coords[centers], coords, k)
-        hood = NeighborhoodIndex(centers=centers, neighbors=hood.neighbors, k=k)
-        feats = local_aggregate(feats, hood, stage.phi1, stage.phi2, stage.gam)
-        coords = coords[centers]
-        for name, (fwd, bwd) in zip(sc.serializations, stage.layers):
-            perm = serialize(NormalizedCloud(PointCloud(coords)), name, cfg.grid_n)
-            seq = feats[perm] + positional_embed(coords[perm], model.pos_maps[l])
-            seq = attach_prompts(seq, name, model.prompt_bank, l)
-            seq = bidirectional_mamba(seq, fwd, bwd)
-            seq = strip_prompts(seq, cfg.n_p)
-            feats = np.empty_like(seq)
-            feats[perm] = seq
-        stage_coords.append(coords)
-        stage_feats.append(feats)
+    with np.errstate(over="raise"):
+        try:
+            feats = model.stem(stem_in)
+            for l, (sc, stage) in enumerate(zip(cfg.stages, model.stages)):
+                if l == 0:
+                    centers = np.arange(len(coords))
+                else:
+                    m = min(sc.points, len(coords))
+                    centers = np.sort(farthest_point_sample(coords, m))
+                k = min(sc.k_neighbors, len(coords))
+                hood = NeighborhoodIndex(centers, knn(coords[centers], coords, k).neighbors)
+                feats = local_aggregate(feats, hood, stage.phi1, stage.phi2, stage.gam)
+                coords = coords[centers]
+                for name, (fwd, bwd) in zip(sc.serializations, stage.layers):
+                    perm = serialize(NormalizedCloud(PointCloud(coords)), name, cfg.grid_n)
+                    seq = feats[perm] + positional_embed(coords[perm], model.pos_maps[l])
+                    seq = attach_prompts(seq, name, model.prompt_bank, l)
+                    seq = bidirectional_mamba(seq, fwd, bwd)
+                    seq = strip_prompts(seq, cfg.n_p)
+                    feats = np.empty_like(seq)
+                    feats[perm] = seq
+                stage_coords.append(coords)
+                stage_feats.append(feats)
+        except FloatingPointError as exc:
+            largest = np.abs(stem_in[:, 3:]).max(initial=0.0)
+            raise NumericRangeError(
+                f"overflow in encode ({exc}); the largest |feature column| is {largest:.3g}"
+            ) from exc
 
     return EncodeResult(
         pooled=stage_feats[-1].max(axis=0),
@@ -408,16 +383,6 @@ def count_parameters(model: Model, per_module: bool = False):
     return groups
 
 
-def _stage_token_counts(config: ModelConfig, n_points: int):
-    counts = []
-    current = min(n_points, config.stages[0].points)
-    for l, sc in enumerate(config.stages):
-        if l > 0:
-            current = min(sc.points, current)
-        counts.append(current)
-    return counts
-
-
 def estimate_flops(model: Model, n_points: int) -> int:
     """Analytic multiply-accumulate count for one forward pass.
 
@@ -426,8 +391,9 @@ def estimate_flops(model: Model, n_points: int) -> int:
     are not MACs and are excluded.
     """
     cfg = model.config
-    counts = _stage_token_counts(cfg, n_points)
-    n0 = min(n_points, cfg.stages[0].points)
+    # tokens per stage: each stage keeps at most its point budget
+    _, *counts = itertools.accumulate((sc.points for sc in cfg.stages), min, initial=n_points)
+    n0 = counts[0]
     d1 = cfg.stages[0].channels
     total = n0 * (3 + cfg.in_features) * d1 + n0 * 2 * d1 * d1  # stem
     d_prev = d1
@@ -437,19 +403,18 @@ def estimate_flops(model: Model, n_points: int) -> int:
         k = sc.k_neighbors
         # local aggregation: entry + one residual block per neighbor, one per center
         total += m * k * (d_prev * d + 2 * d * d) + m * 2 * d * d
-        di = cfg.expand * d
         rank = max(1, d // 16)
         m_seq = m + 2 * cfg.n_p
         per_direction = (
-            m_seq * d * 2 * di  # in_proj
-            + m_seq * di * cfg.conv_width  # depthwise conv
-            + m_seq * 2 * di * rank  # factored dt projection
-            + m_seq * 2 * di * cfg.state_size  # b_proj, c_proj
-            + m_seq * 4 * di * cfg.state_size  # recurrence update + readout
-            + m_seq * di  # gate product
-            + m_seq * di * d  # out_proj
+            m_seq * d * 2 * d  # in_proj
+            + m_seq * d * CONV_WIDTH  # depthwise conv
+            + m_seq * 2 * d * rank  # factored dt projection
+            + m_seq * 2 * d * STATE_SIZE  # b_proj, c_proj
+            + m_seq * 4 * d * STATE_SIZE  # recurrence update + readout
+            + m_seq * d  # gate product
+            + m_seq * d * d  # out_proj
         )
-        per_layer = 2 * per_direction + m * 3 * d + cfg.n_p * cfg.prompt_width * d
+        per_layer = 2 * per_direction + m * 3 * d + cfg.n_p * PROMPT_WIDTH * d
         total += sc.num_layers * per_layer
         d_prev = d
     if cfg.task == TASK_CLASSIFICATION:

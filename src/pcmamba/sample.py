@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .pointset import PointCloud, canonical_tiebreak_order
+from .pointset import canonical_tiebreak_order
 
 # Distance entries per kNN block (rows x base points): two float64 blocks
 # of 8 MB each, so a large query costs 16 MB of scratch.
@@ -30,21 +30,22 @@ class NeighborhoodIndex:
 
     centers: np.ndarray
     neighbors: np.ndarray
-    k: int
 
     def __post_init__(self):
         centers = np.ascontiguousarray(self.centers, dtype=np.int64)
         neighbors = np.ascontiguousarray(self.neighbors, dtype=np.int64)
-        if neighbors.ndim != 2 or neighbors.shape != (len(centers), self.k):
+        if neighbors.ndim != 2 or len(neighbors) != len(centers):
             raise ValueError("neighbors must be (len(centers), k)")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "neighbors", neighbors)
 
+    @property
+    def k(self) -> int:
+        return self.neighbors.shape[1]
 
-def _coords_of(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.coords
-    return np.ascontiguousarray(cloud, dtype=np.float64)
+
+def _coords_of(coords) -> np.ndarray:
+    return np.ascontiguousarray(coords, dtype=np.float64)
 
 
 def farthest_point_sample(cloud, m: int) -> np.ndarray:
@@ -154,7 +155,7 @@ def knn(query_coords, base_coords, k: int) -> NeighborhoodIndex:
             if j:
                 d2 += sq
         neighbors[s : s + len(block)] = base_rank[_k_smallest(d2, k, sq)]
-    return NeighborhoodIndex(centers=np.arange(len(query)), neighbors=neighbors, k=k)
+    return NeighborhoodIndex(centers=np.arange(len(query)), neighbors=neighbors)
 
 
 def interpolate_features(target_coords, source_coords, source_features) -> np.ndarray:

@@ -7,7 +7,9 @@ global-convolution form for time-invariant parameters, a hand-derived
 reverse-time adjoint for gradient verification, and the selective
 (input-conditioned) layer with its gated block and bidirectional wrapper.
 The selective layer discretizes its input term with the Euler rule
-b_bar = dt * B, as Mamba's reference scan does.
+b_bar = dt * B, as Mamba's reference scan does. Its shape is fixed by the
+module constants ``STATE_SIZE`` and ``CONV_WIDTH``, with an inner width
+equal to the model width; only the model width varies between layers.
 
 Kernel math runs in the dtype of its inputs; tests drive everything in
 float64. The recurrence is sequential along the sequence axis and
@@ -31,6 +33,10 @@ _ZOH_SERIES_CUTOFF = 1e-6
 # log-uniformly across channels
 DT_MIN = 1e-3
 DT_MAX = 1e-1
+
+# states per channel and causal-conv taps of every selective layer
+STATE_SIZE = 16
+CONV_WIDTH = 4
 
 
 def discretize(dt, a, b):
@@ -223,15 +229,8 @@ class SelectiveSSMLayer:
         return self.a_log.shape[1]
 
     @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        d_model: int,
-        state_size: int = 16,
-        expand: int = 1,
-        conv_width: int = 4,
-    ):
-        d_inner = expand * d_model
+    def init(cls, rng: np.random.Generator, d_model: int, state_size: int = STATE_SIZE):
+        d_inner = d_model
         rank = max(1, d_model // 16)
 
         def uniform(shape, fan_in):
@@ -242,7 +241,7 @@ class SelectiveSSMLayer:
         return cls(
             norm_scale=np.ones(d_model),
             in_proj_w=uniform((2 * d_inner, d_model), d_model),
-            conv_w=uniform((d_inner, conv_width), conv_width),
+            conv_w=uniform((d_inner, CONV_WIDTH), CONV_WIDTH),
             conv_b=np.zeros(d_inner),
             a_log=np.tile(np.log(np.arange(1, state_size + 1.0)), (d_inner, 1)),
             dt_down_w=uniform((rank, d_inner), d_inner),

@@ -1,14 +1,22 @@
+import contextlib
 import inspect
+import io
 import json
 import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcmamba.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from conftest import small_config
+from pcmamba.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, config_from_file, main
 from pcmamba.io import generate_shape, write_xyz
+from pcmamba.model import TASK_CLASSIFICATION, ModelConfig, StageConfig
 from pcmamba.pointset import PointCloud
+from pcmamba.serialize import ORDER_NAMES
 
 
 def run(capsys, *argv):
@@ -26,17 +34,13 @@ def parse_report(text):
     return out
 
 
-SMALL_CONFIG = {
-    "stages": [
-        {"channels": 12, "num_layers": 1, "serializations": ["xyz"], "points": 48, "k_neighbors": 6},
-        {"channels": 12, "num_layers": 1, "serializations": ["xzy"], "points": 24, "k_neighbors": 6},
-        {"channels": 24, "num_layers": 1, "serializations": ["z"], "points": 12, "k_neighbors": 6},
-        {"channels": 24, "num_layers": 1, "serializations": ["hilbert"], "points": 6, "k_neighbors": 4},
-    ],
-    "n_p": 2,
-    "grid_n": 16,
-    "num_classes": 3,
-}
+# ModelConfig fields that the command line sets and a config file may not
+CLI_FIELDS = ("task", "seed", "in_features")
+
+# conftest.small_config() as a config file holds it, with JSON lists
+SMALL_CONFIG = json.loads(
+    json.dumps({k: v for k, v in asdict(small_config()).items() if k not in CLI_FIELDS})
+)
 
 
 @pytest.fixture
@@ -162,7 +166,6 @@ def test_forward_seg_row_count(capsys, tmp_path, config_file):
 
 
 def test_forward_weights_roundtrip(capsys, tmp_path, config_file):
-    from pcmamba.cli import config_from_file
     from pcmamba.io import save_weights
     from pcmamba.model import build_model
 
@@ -200,8 +203,8 @@ def test_forward_too_few_points(capsys, config_file):
     assert code == EXIT_IO
 
 
-def _with_stage0(**fields):
-    stage = {k: v for k, v in {**SMALL_CONFIG["stages"][0], **fields}.items() if v is not None}
+def _with_stage0(**changes):
+    stage = {k: v for k, v in {**SMALL_CONFIG["stages"][0], **changes}.items() if v is not None}
     return {**SMALL_CONFIG, "stages": [stage] + SMALL_CONFIG["stages"][1:]}
 
 
@@ -218,11 +221,14 @@ def _with_stage0(**fields):
         ({**SMALL_CONFIG, "state_size": 0}, "state_size"),
         ({**SMALL_CONFIG, "n_p": -1}, "n_p"),
         (_with_stage0(serializations=["spiral"]), "spiral"),
+        ({**SMALL_CONFIG, "state_sise": 4}, "state_sise"),
+        (_with_stage0(k_neighbours=3), "k_neighbours"),
+        ({**SMALL_CONFIG, "seed": 1}, "seed"),
     ],
     ids=[
         "empty", "no-num_layers", "stages-int", "top-level-list", "channels-str",
         "channels-0", "serializations-str", "state_size-0", "n_p-negative",
-        "serialization-unknown",
+        "serialization-unknown", "top-level-typo", "stage-typo", "seed-in-file",
     ],
 )
 def test_forward_malformed_config_exits_2(capsys, tmp_path, config, field):
@@ -232,6 +238,52 @@ def test_forward_malformed_config_exits_2(capsys, tmp_path, config, field):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error:") and field in err
+
+
+def test_small_config_file_loads_back(config_file):
+    # the file's num_classes (3) wins over the one given (15)
+    assert config_from_file(config_file, TASK_CLASSIFICATION, 15) == small_config()
+
+
+_JUNK = st.one_of(
+    st.integers(-2, 48),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+    st.lists(st.one_of(st.sampled_from(ORDER_NAMES), st.integers(-2, 48), st.text(max_size=3))),
+)
+_KEYS = st.one_of(
+    st.sampled_from(sorted({f.name for cls in (StageConfig, ModelConfig) for f in fields(cls)})),
+    st.text(st.characters(codec="utf-8"), max_size=10),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from((["inspect"], ["forward", "--gen", "sphere", "--n", "48"])),
+)
+def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, data, command):
+    # one key of the top level or of one stage is changed or added; ints
+    # stay small enough that no draw allocates more than a few MB
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    stage = data.draw(st.one_of(st.none(), st.integers(0, 3)), label="stage")
+    target = config if stage is None else config["stages"][stage]
+    change = data.draw(st.booleans(), label="change an existing key")
+    key = data.draw(st.sampled_from(sorted(target)) if change else _KEYS, label="key")
+    small_int = data.draw(st.booleans(), label="small int")
+    target[key] = data.draw(st.integers(-2, 48) if small_int else _JUNK, label="value")
+    valid = {f.name for f in fields(ModelConfig if stage is None else StageConfig)}
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], "--config", str(path), *command[1:]])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+    if key not in valid or key in CLI_FIELDS:
+        assert code == EXIT_USAGE and repr(key) in err.getvalue()
 
 
 def test_forward_non_utf8_xyz_exits_3(capsys, tmp_path, config_file):
@@ -256,8 +308,29 @@ def test_forward_nan_feature_exits_3_naming_file(capsys, tmp_path, config_file):
     assert err.startswith("error:") and str(path) in err and "features" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scale, expected",
+    # at 1e153 the stem still runs; the sum of squares that sets the local
+    # aggregation's sigma overflows
+    [(1e200, EXIT_IO), (1e250, EXIT_IO), (-1e200, EXIT_IO), (1e153, EXIT_IO), (1e150, EXIT_OK)],
+)
+def test_forward_overflowing_feature_column_exits_3(capsys, tmp_path, scale, expected):
+    rng = np.random.default_rng(8)
+    cloud = PointCloud(rng.uniform(size=(256, 3)), features=scale * rng.uniform(0.5, 1, (256, 1)))
+    path = tmp_path / "feature.xyz"
+    write_xyz(cloud, path)
+    code = main(["forward", "--config", "pcm-tiny", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == expected
+    if expected == EXIT_IO:
+        assert err.startswith("error:") and "overflow" in err and "feature column" in err
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+
+
 def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
-    from pcmamba.cli import config_from_file
     from pcmamba.io import save_weights
     from pcmamba.model import build_model
 
@@ -278,7 +351,6 @@ def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
 
 
 def test_forward_nan_weights_exits_3(capsys, tmp_path, config_file):
-    from pcmamba.cli import config_from_file
     from pcmamba.io import save_weights
     from pcmamba.model import build_model
 

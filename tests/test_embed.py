@@ -1,31 +1,26 @@
 import numpy as np
 import pytest
 
-from pcmamba.embed import (
-    OrderPromptBank,
-    PositionalMap,
-    attach_prompts,
-    positional_embed,
-    strip_prompts,
-)
+from pcmamba.embed import OrderPromptBank, attach_prompts, positional_embed, strip_prompts
 from pcmamba.errors import ConfigurationError
+from pcmamba.nn import AffineMap
 
 
-def make_bank(n_p=6, width=16, stages=(8, 12)):
+def make_bank(n_p=6, stages=(8, 12)):
     rng = np.random.Generator(np.random.PCG64(0))
-    return OrderPromptBank.init(rng, ("xyz", "z"), stages, n_p=n_p, native_width=width)
+    return OrderPromptBank.init(rng, ("xyz", "z"), stages, n_p)
 
 
 def test_positional_zero_map_gives_zero():
-    pm = PositionalMap.init(np.random.Generator(np.random.PCG64(1)), 6)
-    pm.affine.w[:] = 0.0
-    pm.affine.b[:] = 0.0
+    pm = AffineMap.init(np.random.Generator(np.random.PCG64(1)), 3, 6)
+    pm.w[:] = 0.0
+    pm.b[:] = 0.0
     out = positional_embed(np.random.default_rng(0).uniform(size=(5, 3)), pm)
     np.testing.assert_array_equal(out, np.zeros((5, 6)))
 
 
 def test_positional_equal_coords_equal_embeddings():
-    pm = PositionalMap.init(np.random.Generator(np.random.PCG64(2)), 4)
+    pm = AffineMap.init(np.random.Generator(np.random.PCG64(2)), 3, 4)
     coords = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
     out = positional_embed(coords, pm)
     np.testing.assert_array_equal(out[0], out[1])
@@ -33,8 +28,8 @@ def test_positional_equal_coords_equal_embeddings():
 
 def test_positional_lipschitz_bound():
     rng = np.random.Generator(np.random.PCG64(3))
-    pm = PositionalMap.init(rng, 10)
-    opnorm = np.linalg.svd(pm.affine.w, compute_uv=False)[0]
+    pm = AffineMap.init(rng, 3, 10)
+    opnorm = np.linalg.svd(pm.w, compute_uv=False)[0]
     for _ in range(50):
         a, b = rng.uniform(size=(2, 3))
         lhs = np.linalg.norm(positional_embed(a[None], pm) - positional_embed(b[None], pm))
@@ -43,11 +38,11 @@ def test_positional_lipschitz_bound():
 
 def test_positional_translation_covariance():
     rng = np.random.Generator(np.random.PCG64(4))
-    pm = PositionalMap.init(rng, 7)
+    pm = AffineMap.init(rng, 3, 7)
     c = rng.uniform(size=(6, 3))
     t = rng.uniform(size=3)
     diff = positional_embed(c + t, pm) - positional_embed(c, pm)
-    np.testing.assert_allclose(diff, np.tile(pm.affine.w @ t, (6, 1)), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(diff, np.tile(pm.w @ t, (6, 1)), rtol=1e-12, atol=1e-12)
 
 
 def test_attach_prompts_shapes_and_middle():

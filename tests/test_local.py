@@ -54,17 +54,13 @@ def test_normalize_alpha_linearity():
 
 def test_delta_must_be_positive():
     with pytest.raises(ValueError):
-        GAMParams(alpha=np.ones(3), delta=0.0)
+        GAMParams(alpha=np.ones(3), beta=np.zeros(3), delta=0.0)
 
 
 def _toy_setup(seed, m=7, k=4, d_in=5, d_out=6):
     rng = np.random.Generator(np.random.PCG64(seed))
     feats = rng.normal(size=(m + 5, d_in))
-    hood = NeighborhoodIndex(
-        centers=np.arange(m),
-        neighbors=rng.integers(0, m + 5, size=(m, k)),
-        k=k,
-    )
+    hood = NeighborhoodIndex(centers=np.arange(m), neighbors=rng.integers(0, m + 5, size=(m, k)))
     phi1 = MLPStack.init(rng, d_in, d_out, depth=1)
     phi2 = MLPStack.init(rng, d_out, d_out, depth=1)
     gam = GAMParams.init(d_in)
@@ -73,7 +69,7 @@ def _toy_setup(seed, m=7, k=4, d_in=5, d_out=6):
 
 def test_local_aggregate_k1_degenerate_pool():
     feats, _, phi1, phi2, gam = _toy_setup(6)
-    hood = NeighborhoodIndex(centers=np.arange(7), neighbors=np.arange(7)[:, None] + 1, k=1)
+    hood = NeighborhoodIndex(centers=np.arange(7), neighbors=np.arange(7)[:, None] + 1)
     out = local_aggregate(feats, hood, phi1, phi2, gam)
     g = gam_normalize(feats[hood.neighbors], feats[hood.centers], gam)
     expected = phi2(phi1(g[:, 0, :]))
@@ -85,11 +81,7 @@ def test_local_aggregate_k1_degenerate_pool():
 def test_local_aggregate_duplicate_neighbors_no_change():
     feats, hood, phi1, phi2, gam = _toy_setup(7)
     out = local_aggregate(feats, hood, phi1, phi2, gam)
-    doubled = NeighborhoodIndex(
-        centers=hood.centers,
-        neighbors=np.hstack([hood.neighbors, hood.neighbors]),
-        k=2 * hood.k,
-    )
+    doubled = NeighborhoodIndex(hood.centers, np.hstack([hood.neighbors, hood.neighbors]))
     np.testing.assert_array_equal(out, local_aggregate(feats, doubled, phi1, phi2, gam))
 
 
@@ -100,7 +92,7 @@ def test_local_aggregate_neighbor_permutation_invariant():
     shuffled = hood.neighbors.copy()
     for row in shuffled:
         rng.shuffle(row)
-    hood2 = NeighborhoodIndex(centers=hood.centers, neighbors=shuffled, k=hood.k)
+    hood2 = NeighborhoodIndex(centers=hood.centers, neighbors=shuffled)
     np.testing.assert_array_equal(out, local_aggregate(feats, hood2, phi1, phi2, gam))
 
 
@@ -164,9 +156,7 @@ def _one_shot_aggregate(features, hood, phi1, phi2, gam):
     neigh = features[hood.neighbors]
     dev = neigh - features[hood.centers][:, None, :]
     sigma = float(np.sqrt((dev * dev).mean()))
-    g = gam.alpha * dev / (sigma + gam.delta)
-    if gam.beta is not None:
-        g = g + gam.beta
+    g = gam.alpha * dev / (sigma + gam.delta) + gam.beta
     m, k, d_in = g.shape
     lifted = _textbook_stack(phi1, g.reshape(m * k, d_in)).reshape(m, k, -1)
     return _textbook_stack(phi2, lifted.max(axis=1))
@@ -180,7 +170,7 @@ def _centers_per_block(k):
     "m, k, d_in, d_out, depth, with_beta",
     [
         (3 * _centers_per_block(4) + 37, 4, 5, 6, 1, True),  # entry affine, M not a block multiple
-        (4 * _centers_per_block(5) + 11, 5, 6, 6, 2, False),  # no entry, depth 2, beta=None
+        (4 * _centers_per_block(5) + 11, 5, 6, 6, 2, False),  # no entry, depth 2, beta = 0
         (3 * _centers_per_block(1) + 1, 1, 4, 7, 1, True),  # K = 1, one row past whole blocks
         (_centers_per_block(12) + 1, 12, 8, 8, 1, True),  # two blocks of nearly half size
         (7, 3, 5, 6, 2, True),  # fewer centers than one block
@@ -190,13 +180,13 @@ def test_local_aggregate_equals_one_shot_oracle(m, k, d_in, d_out, depth, with_b
     rng = np.random.Generator(np.random.PCG64(m * k))
     feats = rng.normal(size=(m + 5, d_in))
     hood = NeighborhoodIndex(
-        centers=rng.permutation(m + 5)[:m], neighbors=rng.integers(0, m + 5, size=(m, k)), k=k
+        centers=rng.permutation(m + 5)[:m], neighbors=rng.integers(0, m + 5, size=(m, k))
     )
     phi1 = MLPStack.init(rng, d_in, d_out, depth=depth)
     phi2 = MLPStack.init(rng, d_out, d_out, depth=depth)
     gam = GAMParams(
         alpha=rng.uniform(0.5, 2.0, size=d_in),
-        beta=rng.normal(size=d_in) if with_beta else None,
+        beta=rng.normal(size=d_in) if with_beta else np.zeros(d_in),
     )
     for stack in (phi1, phi2):
         for _, arr in stack.named_params("phi"):
