@@ -55,6 +55,7 @@ from .model import (
     softmax_xent_grad,
 )
 from .pointset import PointCloud, normalize_unit_cube
+from .sample import NeighborhoodIndex
 
 
 @dataclass
@@ -239,13 +240,22 @@ def adjoint_matches_finite_differences(trials):
 # gam
 
 
+def _as_cloud(neigh, centers):
+    """(M, K, D) neighbourhood and (M, D) centre features as one feature
+    array and the NeighborhoodIndex into it that the model's GAM takes."""
+    m, k, d = neigh.shape
+    features = np.concatenate([np.reshape(neigh, (m * k, d)), centers])
+    return features, NeighborhoodIndex(m * k + np.arange(m), np.arange(m * k).reshape(m, k))
+
+
 def gam_sigma_matches_oracle(neigh, centers):
     """gam_sigma of (M, K, D) neighbourhoods equals a scalar triple loop."""
     acc = 0.0
     for i, j, q in np.ndindex(neigh.shape):
         acc += (neigh[i, j, q] - centers[i, q]) ** 2
     oracle = np.sqrt(acc / neigh.size)
-    return _check("gam_sigma_matches_oracle", abs(gam_sigma(neigh, centers) - oracle), 1e-7)
+    sigma = gam_sigma(*_as_cloud(neigh, centers))
+    return _check("gam_sigma_matches_oracle", abs(sigma - oracle), 1e-7)
 
 
 def _unit_gam(d, alpha=1.0):
@@ -254,20 +264,22 @@ def _unit_gam(d, alpha=1.0):
 
 def gam_unit_rms(neigh, centers):
     """With alpha = 1, beta = 0 and delta -> 0 the output has unit RMS."""
-    out = gam_normalize(neigh, centers, _unit_gam(neigh.shape[2]))
+    out = gam_normalize(*_as_cloud(neigh, centers), _unit_gam(neigh.shape[2]))
     return _check("gam_unit_rms", abs(float(np.sqrt((out * out).mean())) - 1.0), 1e-6)
 
 
 def gam_alpha_linearity(neigh, centers):
-    one = gam_normalize(neigh, centers, _unit_gam(neigh.shape[2]))
-    two = gam_normalize(neigh, centers, _unit_gam(neigh.shape[2], 2.0))
+    cloud = _as_cloud(neigh, centers)
+    one = gam_normalize(*cloud, _unit_gam(neigh.shape[2]))
+    two = gam_normalize(*cloud, _unit_gam(neigh.shape[2], 2.0))
     return _check("gam_alpha_linearity", float(np.abs(two - 2 * one).max()), 0.0)
 
 
 def gam_degenerate_gives_beta(centers, k, beta):
     """K neighbours equal to their centre normalize to exactly beta."""
     same = np.broadcast_to(centers[:, None, :], (len(centers), k, len(beta)))
-    out = gam_normalize(same, centers, GAMParams(alpha=np.ones(len(beta)), beta=beta))
+    params = GAMParams(alpha=np.ones(len(beta)), beta=beta)
+    out = gam_normalize(*_as_cloud(same, centers), params)
     return _check("gam_degenerate_gives_beta", float(np.abs(out - beta).max()), 0.0)
 
 

@@ -16,11 +16,12 @@ from .errors import ConfigurationError
 from .nn import AffineMap, rms_norm, silu
 from .sample import NeighborhoodIndex
 
-# Neighbor rows per block in local_aggregate (64 centers at K = 12). Each
-# intermediate is then (768, D), 2.4 MB at D = 384, instead of (M*K, D),
-# 38 MB at stage 0 of "pcm": small enough to stay in cache and below the
-# size at which every temporary is mapped and page-faulted afresh.
-_BLOCK_NEIGHBOR_ROWS = 768
+# Entries (rows x the widest layer width) per block of centers in
+# local_aggregate and gam_sigma: 192 neighbor rows (16 centers at K = 12) at
+# D = 384, 96 at D = 768, 384 at D = 192. Each intermediate is then 576 KB,
+# whatever the cloud, instead of growing with M * K * D (the whole deviation
+# array is 38 MB at stage 0 of "pcm"), so it stays in cache.
+_BLOCK_ENTRIES = 73_728
 
 
 @dataclass
@@ -48,31 +49,53 @@ class GAMParams:
         yield f"{prefix}.beta", self.beta
 
 
-def _rms(dev: np.ndarray) -> float:
-    # the sum of squares as one dot product of the flat view, without an
-    # array of squares the size of dev
-    flat = dev.reshape(-1)
-    return float(np.sqrt(np.dot(flat, flat) / flat.size))
+def _center_blocks(m: int, k: int, width: int) -> list:
+    """Bounds of balanced blocks of the m centers, each block at most
+    ``_BLOCK_ENTRIES`` entries of k rows of ``width`` channels per center.
+
+    Blocks are balanced rather than cut at a fixed size with a short
+    remainder: a matrix product of one or a few rows takes another BLAS
+    kernel (gemv, or OpenBLAS's small-matrix path) whose summation order
+    differs, which would change the bits of those rows.
+    """
+    n_blocks = -(-m // max(1, _BLOCK_ENTRIES // (k * width)))
+    return [m * i // n_blocks for i in range(n_blocks + 1)]
 
 
-def gam_sigma(neighborhood_features: np.ndarray, center_features: np.ndarray) -> float:
+def gam_sigma(features: np.ndarray, neighborhood: NeighborhoodIndex, bounds=None) -> np.float64:
     """RMS of neighbor deviations from their centers, one scalar per cloud.
 
-    sigma = sqrt(mean over all centers, neighbors, channels of
-    (f_ij - f_i)^2).
+    sigma = sqrt(mean over all centers i, neighbors j, channels of
+    (f_j - f_i)^2). The sum of squares is accumulated block by block of
+    centers (``bounds``, by default ``_center_blocks`` at the feature
+    width), one dot product per block, so no (M, K, D) array is formed. The
+    running sum is a numpy float64: under ``np.errstate(over="raise")`` a
+    total that overflows raises even when every block's sum is finite.
     """
-    return _rms(neighborhood_features - center_features[:, None, :])
+    centers, neighbors = neighborhood.centers, neighborhood.neighbors
+    m, k = neighbors.shape
+    if bounds is None:
+        bounds = _center_blocks(m, k, features.shape[1])
+    total = np.float64(0.0)
+    for start, end in zip(bounds, bounds[1:]):
+        dev = features[neighbors[start:end]]
+        dev -= features[centers[start:end]][:, None, :]
+        flat = dev.reshape(-1)
+        total += np.dot(flat, flat)
+    return np.sqrt(total / (m * k * features.shape[1]))
 
 
 def gam_normalize(
-    neighborhood_features: np.ndarray,
-    center_features: np.ndarray,
+    features: np.ndarray,
+    neighborhood: NeighborhoodIndex,
     params: GAMParams,
 ) -> np.ndarray:
-    """alpha * (f_ij - f_i) / (sigma + delta) + beta, elementwise."""
-    dev = neighborhood_features - center_features[:, None, :]
+    """alpha * (f_j - f_i) / (sigma + delta) + beta for every neighbor j of
+    every center i, as an (M, K, D) array, with sigma from ``gam_sigma``."""
+    dev = features[neighborhood.neighbors]
+    dev -= features[neighborhood.centers][:, None, :]
     out = params.alpha * dev
-    out /= _rms(dev) + params.delta
+    out /= gam_sigma(features, neighborhood) + params.delta
     out += params.beta
     return out
 
@@ -167,16 +190,17 @@ def local_aggregate(
     """Per-center features: phi2(maxpool_K(phi1(GAM(neighbors)))).
 
     The max over the K neighbors makes the result invariant to neighbor
-    order and to duplicated neighbors. sigma is taken once over the whole
-    deviation array. The GAM affine, phi1's optional entry affine and the
-    first block's ``affine1`` are linear in the deviation f_j - f_i, so
-    they run once per point, as ``Q = F @ W'.T``, and each neighbor row
-    is gathered as ``Q[j] - Q[i] + c`` (likewise the entry output, which
-    the residual needs). The rest of phi1 and the max then run on blocks
-    of centers of about ``_BLOCK_NEIGHBOR_ROWS`` neighbor rows each, so
-    their intermediates stay in cache, and phi2 runs once on the pooled
-    rows. The folding moves results by rounding only (about 1e-15 at unit
-    scale); every row is computed the same way whatever the blocking.
+    order and to duplicated neighbors. The GAM affine, phi1's optional
+    entry affine and the first block's ``affine1`` are linear in the
+    deviation f_j - f_i, so they run once per point, as ``Q = F @ W'.T``,
+    and each neighbor row is gathered as ``Q[j] - Q[i] + c`` (likewise the
+    entry output, which the residual needs). Everything per neighbor row
+    runs on balanced blocks of centers of at most ``_BLOCK_ENTRIES``
+    entries at phi1's widest width, so no intermediate grows with M * K * D:
+    first ``gam_sigma``'s sum of squares, then the rest of phi1 and the max.
+    phi2 runs once on the pooled (M, D) rows. sigma's blocked sum and the
+    folding move results by rounding only (about 1e-15 at unit scale);
+    every row is computed the same way whatever the blocking.
     """
     if features.shape[-1] != gam.alpha.shape[0]:
         raise ConfigurationError(
@@ -187,23 +211,15 @@ def local_aggregate(
             f"stack expects {phi1.d_in} input channels, got {features.shape[-1]}"
         )
     centers, neighbors = neighborhood.centers, neighborhood.neighbors
-    dev = features[neighbors]  # (M, K, D_in)
-    dev -= features[centers][:, None, :]
-    sigma = _rms(dev)
-    del dev
+    first, rest = phi1.blocks[0], phi1.blocks[1:]
+    m, k = neighbors.shape
+    bounds = _center_blocks(m, k, max(phi1.d_in, first.affine2.d_out))
+    sigma = gam_sigma(features, neighborhood, bounds)
     lin = features * (gam.alpha / (sigma + gam.delta))
     const = gam.beta
     if phi1.entry is not None:
         lin, const = _fold(lin, const, phi1.entry)
-    first, rest = phi1.blocks[0], phi1.blocks[1:]
     q, q_const = _fold(lin, const, first.affine1)
-    m, k = neighbors.shape
-    # Blocks are balanced rather than cut at a fixed size with a short
-    # remainder: a matrix product of one or a few rows takes another BLAS
-    # kernel (gemv, or OpenBLAS's small-matrix path) whose summation order
-    # differs, which would change the bits of those rows.
-    n_blocks = -(-m // max(1, _BLOCK_NEIGHBOR_ROWS // k))
-    bounds = [m * i // n_blocks for i in range(n_blocks + 1)]
     pooled = np.empty((m, first.affine2.d_out), dtype=lin.dtype)
     for start, end in zip(bounds, bounds[1:]):
         nb, ctr = neighbors[start:end], centers[start:end]
@@ -213,4 +229,5 @@ def local_aggregate(
         for block in rest:
             lifted = block(lifted)
         lifted.reshape(end - start, k, -1).max(axis=1, out=pooled[start:end])
+    del lin, q  # per-point arrays that phi2 does not need
     return phi2(pooled)

@@ -357,7 +357,14 @@ def forward_classification(model: Model, cloud: PointCloud) -> np.ndarray:
 
 
 def forward_segmentation(model: Model, cloud: PointCloud) -> np.ndarray:
-    """Per-point logits (N x num_classes) in the input point order."""
+    """Per-point logits (N x num_classes) in the input point order.
+
+    The decoder refines the stage features back up to stage 0, classifies
+    the stage-0 rows, and interpolates their logits to all N input points.
+    Interpolation weights are convex and the classifier is affine, so this
+    equals classifying the interpolated stage-0 features up to rounding,
+    without forming an (N, C0) feature array.
+    """
     if model.decoder is None:
         raise ConfigurationError("model was built for classification, not segmentation")
     enc = encode(model, cloud)
@@ -365,8 +372,8 @@ def forward_segmentation(model: Model, cloud: PointCloud) -> np.ndarray:
     for (t1, t2), lvl in zip(model.decoder.transforms, (2, 1, 0)):
         up = interpolate_features(enc.stage_coords[lvl], enc.stage_coords[lvl + 1], f)
         f = t2(silu(t1(np.hstack([up, enc.stage_feats[lvl]]))))
-    full = interpolate_features(enc.full_coords, enc.stage_coords[0], f)
-    logits_canon = model.decoder.classifier(full)
+    logits = model.decoder.classifier(f)
+    logits_canon = interpolate_features(enc.full_coords, enc.stage_coords[0], logits)
     out = np.empty_like(logits_canon)
     out[enc.canonical_perm] = logits_canon
     return out
@@ -388,7 +395,9 @@ def estimate_flops(model: Model, n_points: int) -> int:
 
     Counts the dense work (affine maps, depthwise conv, recurrence updates,
     neighborhood MLPs, interpolation weights); index manipulation and sorting
-    are not MACs and are excluded.
+    are not MACs and are excluded. Segmentation counts the classifier on
+    the stage-0 rows and the last interpolation over ``num_classes``
+    channels, as ``forward_segmentation`` computes them.
     """
     cfg = model.config
     # tokens per stage: each stage keeps at most its point budget
@@ -427,8 +436,8 @@ def estimate_flops(model: Model, n_points: int) -> int:
             n_l = counts[lvl]
             total += n_l * 3 * d_above  # interpolation weights
             total += n_l * ((d_above + d) * d + d * d)
-        total += n_points * 3 * cfg.stages[0].channels
-        total += n_points * cfg.stages[0].channels * cfg.num_classes
+        total += n0 * cfg.stages[0].channels * cfg.num_classes
+        total += n_points * 3 * cfg.num_classes
     return int(total)
 
 

@@ -15,8 +15,9 @@ from .errors import InvalidInputError
 from .pointset import canonical_tiebreak_order
 
 # Distance entries per kNN block (rows x base points): two float64 blocks
-# of 8 MB each, so a large query costs 16 MB of scratch.
-_BLOCK_ENTRIES = 1_000_000
+# of 1 MB each, so a query of any size costs 2 MB of scratch. The indices
+# do not depend on the block size.
+_BLOCK_ENTRIES = 131_072
 
 # Nearest sources averaged per target, and target rows per gather of source
 # features, in interpolate_features.
@@ -128,7 +129,9 @@ def knn(query_coords, base_coords, k: int) -> NeighborhoodIndex:
     canonical order, and each row keeps its k smallest distances by partial
     selection (``ndarray.partition`` finds the k-th distance) with exact
     tie resolution at that distance, never a full sort. Query rows are
-    processed in blocks of at most ~1M distances.
+    processed in blocks of at most ``_BLOCK_ENTRIES`` (131,072) distances,
+    or of one row when the base is larger, so the scratch memory does not
+    grow with the query size.
     """
     query = _coords_of(query_coords)
     base = _coords_of(base_coords)

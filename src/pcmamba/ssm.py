@@ -318,18 +318,29 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer):
         # sequential recurrence (state order is load-bearing) with the
         # readout y_t = C_t @ h_t taken at each step
         _recur(a_bar[:n], bx[:n], h, y[start:end], c_tok[start:end])
-    return y + layer.d_skip * u
+    # the skip term d_skip * u goes through dt's buffer, no longer needed
+    y += np.multiply(layer.d_skip, u, out=dt)
+    return y
 
 
 def causal_depthwise_conv(u: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Depthwise causal convolution along the sequence axis, left zero-padded."""
-    m, d = u.shape
+    """Depthwise causal convolution along the sequence axis, left zero-padded.
+
+    out_t = b + sum over taps i of w[:, i] * u_{t + i - (W - 1)}, the taps
+    added in order of i; a tap that falls before the sequence start reads
+    the zero padding and adds nothing, so it is skipped (no padded copy).
+    """
+    m = len(u)
     width = w.shape[1]
-    padded = np.vstack([np.zeros((width - 1, d)), u])
     out = np.zeros_like(u)
+    tap = np.empty_like(u)
     for i in range(width):
-        out += w[:, i] * padded[i : i + m]
-    return out + b
+        shift = width - 1 - i
+        if shift < m:
+            np.multiply(w[:, i], u[: m - shift], out=tap[: m - shift])
+            out[shift:] += tap[: m - shift]
+    out += b
+    return out
 
 
 def mamba_block(x: np.ndarray, layer: SelectiveSSMLayer, residual: bool = True):
@@ -341,14 +352,16 @@ def mamba_block(x: np.ndarray, layer: SelectiveSSMLayer, residual: bool = True):
     to D. The input is added back unless ``residual`` is False (the
     bidirectional wrapper applies the residual once itself).
     """
-    h = rms_norm(x, layer.norm_scale)
-    proj = h @ layer.in_proj_w.T
+    proj = rms_norm(x, layer.norm_scale) @ layer.in_proj_w.T
     d_inner = layer.d_inner
     u, gate = proj[:, :d_inner], proj[:, d_inner:]
     u = silu(causal_depthwise_conv(u, layer.conv_w, layer.conv_b))
-    y = selective_ssm(u, layer) * silu(gate)
+    y = selective_ssm(u, layer)
+    y *= silu(gate)
     out = y @ layer.out_proj_w.T
-    return x + out if residual else out
+    if residual:
+        out += x
+    return out
 
 
 def bidirectional_mamba(
@@ -360,6 +373,7 @@ def bidirectional_mamba(
     summation; the residual is added once here, so the inner blocks run
     without their own.
     """
-    f = mamba_block(x, fwd_layer, residual=False)
-    b = mamba_block(x[::-1], bwd_layer, residual=False)[::-1]
-    return x + (f + b)
+    out = mamba_block(x, fwd_layer, residual=False)
+    out += mamba_block(x[::-1], bwd_layer, residual=False)[::-1]
+    out += x
+    return out

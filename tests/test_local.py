@@ -4,9 +4,10 @@ import pytest
 from pcmamba import checks
 from pcmamba.errors import ConfigurationError
 from pcmamba.local import (
-    _BLOCK_NEIGHBOR_ROWS,
+    _BLOCK_ENTRIES,
     GAMParams,
     MLPStack,
+    _center_blocks,
     gam_normalize,
     gam_sigma,
     local_aggregate,
@@ -16,16 +17,15 @@ from pcmamba.sample import NeighborhoodIndex
 
 
 def test_sigma_zero_when_neighbors_equal_centers():
-    centers = np.random.default_rng(0).normal(size=(5, 3))
-    neigh = np.broadcast_to(centers[:, None, :], (5, 4, 3))
-    assert gam_sigma(neigh, centers) == 0.0
+    feats = np.random.default_rng(0).normal(size=(5, 3))
+    hood = NeighborhoodIndex(centers=np.arange(5), neighbors=np.tile(np.arange(5)[:, None], 4))
+    assert gam_sigma(feats, hood) == 0.0
 
 
 def test_sigma_unit_for_unit_deviations():
-    centers = np.zeros((3, 2))
-    neigh = np.ones((3, 4, 2))
-    neigh[:, ::2] = -1.0
-    assert gam_sigma(neigh, centers) == 1.0
+    feats = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])
+    hood = NeighborhoodIndex(centers=np.zeros(3), neighbors=np.tile([1, 2, 1, 2], (3, 1)))
+    assert gam_sigma(feats, hood) == 1.0
 
 
 def _hood(seed, m, k, d):
@@ -71,7 +71,7 @@ def test_local_aggregate_k1_degenerate_pool():
     feats, _, phi1, phi2, gam = _toy_setup(6)
     hood = NeighborhoodIndex(centers=np.arange(7), neighbors=np.arange(7)[:, None] + 1)
     out = local_aggregate(feats, hood, phi1, phi2, gam)
-    g = gam_normalize(feats[hood.neighbors], feats[hood.centers], gam)
+    g = gam_normalize(feats, hood, gam)
     expected = phi2(phi1(g[:, 0, :]))
     # local_aggregate folds the linear maps of phi1's first layer per point,
     # which moves the rows by rounding only
@@ -100,7 +100,7 @@ def test_local_aggregate_matches_straight_line_oracle():
     feats, hood, phi1, phi2, gam = _toy_setup(10)
     out = local_aggregate(feats, hood, phi1, phi2, gam)
     m, k = hood.neighbors.shape
-    sigma = gam_sigma(feats[hood.neighbors], feats[hood.centers])
+    sigma = gam_sigma(feats, hood)
     rows = []
     for i in range(m):
         lifted = []
@@ -162,19 +162,33 @@ def _one_shot_aggregate(features, hood, phi1, phi2, gam):
     return _textbook_stack(phi2, lifted.max(axis=1))
 
 
-def _centers_per_block(k):
-    return _BLOCK_NEIGHBOR_ROWS // k
+def _centers_per_block(k, d_in, d_out):
+    return _BLOCK_ENTRIES // (k * max(d_in, d_out))
+
+
+# (m, k, d_in, d_out, depth, with_beta) and the number of center blocks each
+# case is meant to cross
+_ORACLE_CASES = [
+    # entry affine, M not a block multiple
+    ((3 * _centers_per_block(4, 5, 6) + 37, 4, 5, 6, 1, True), 4),
+    # no entry, depth 2, beta = 0
+    ((4 * _centers_per_block(5, 6, 6) + 11, 5, 6, 6, 2, False), 5),
+    # K = 1, one row past whole blocks
+    ((3 * _centers_per_block(1, 4, 7) + 1, 1, 4, 7, 1, True), 4),
+    # two blocks of nearly half size
+    ((_centers_per_block(12, 8, 8) + 1, 12, 8, 8, 1, True), 2),
+    # fewer centers than one block
+    ((7, 3, 5, 6, 2, True), 1),
+]
+
+
+def test_oracle_cases_cross_intended_blocks():
+    for (m, k, d_in, d_out, _, _), n_blocks in _ORACLE_CASES:
+        assert len(_center_blocks(m, k, max(d_in, d_out))) - 1 == n_blocks
 
 
 @pytest.mark.parametrize(
-    "m, k, d_in, d_out, depth, with_beta",
-    [
-        (3 * _centers_per_block(4) + 37, 4, 5, 6, 1, True),  # entry affine, M not a block multiple
-        (4 * _centers_per_block(5) + 11, 5, 6, 6, 2, False),  # no entry, depth 2, beta = 0
-        (3 * _centers_per_block(1) + 1, 1, 4, 7, 1, True),  # K = 1, one row past whole blocks
-        (_centers_per_block(12) + 1, 12, 8, 8, 1, True),  # two blocks of nearly half size
-        (7, 3, 5, 6, 2, True),  # fewer centers than one block
-    ],
+    "m, k, d_in, d_out, depth, with_beta", [case for case, _ in _ORACLE_CASES]
 )
 def test_local_aggregate_equals_one_shot_oracle(m, k, d_in, d_out, depth, with_beta):
     rng = np.random.Generator(np.random.PCG64(m * k))
@@ -197,6 +211,21 @@ def test_local_aggregate_equals_one_shot_oracle(m, k, d_in, d_out, depth, with_b
     expected = _one_shot_aggregate(feats, hood, phi1, phi2, gam)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(feats, keep)
+
+
+def test_sigma_overflow_across_blocks_raises():
+    # two center blocks whose sums of squares are 1e308 each: finite per
+    # block, but the total overflows, which must raise and not give inf
+    k, d = 1, 4
+    m = 2 * _centers_per_block(k, d, d)
+    assert len(_center_blocks(m, k, d)) - 1 == 2
+    feats = np.zeros((2 * m, d))
+    feats[m:] = np.sqrt(1e308 / (m // 2 * k * d))
+    hood = NeighborhoodIndex(centers=np.arange(m), neighbors=m + np.arange(m)[:, None])
+    rng = np.random.Generator(np.random.PCG64(13))
+    phi1, phi2 = MLPStack.init(rng, d, d), MLPStack.init(rng, d, d)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        local_aggregate(feats, hood, phi1, phi2, GAMParams.init(d))
 
 
 @pytest.mark.parametrize("shape", [(7,), (40, 9), (3, 4, 6), "strided"])

@@ -16,8 +16,9 @@ from pcmamba.model import (
     preset_config,
     train_linear_probe,
 )
-from pcmamba.nn import AffineMap
+from pcmamba.nn import AffineMap, silu
 from pcmamba.pointset import PointCloud
+from pcmamba.sample import interpolate_features
 from pcmamba.ssm import SelectiveSSMLayer
 
 
@@ -156,6 +157,38 @@ def test_segmentation_zero_head_uniform():
     np.testing.assert_array_equal(out, np.zeros((48, 4)))
 
 
+def _interpolate_then_classify(model, cloud):
+    """The decoder with the last interpolation first: interpolate the
+    stage-0 features to every input point, then classify the (N, C0) rows."""
+    enc = encode(model, cloud)
+    f = enc.stage_feats[3]
+    for (t1, t2), lvl in zip(model.decoder.transforms, (2, 1, 0)):
+        up = interpolate_features(enc.stage_coords[lvl], enc.stage_coords[lvl + 1], f)
+        f = t2(silu(t1(np.hstack([up, enc.stage_feats[lvl]]))))
+    full = interpolate_features(enc.full_coords, enc.stage_coords[0], f)
+    logits = model.decoder.classifier(full)
+    out = np.empty_like(logits)
+    out[enc.canonical_perm] = logits
+    return out
+
+
+@pytest.mark.parametrize("kind", ["jittered", "lattice"])
+def test_segmentation_classify_then_interpolate_matches_old_order(kind):
+    # clouds larger than the stage-0 budget of 48, so most points are
+    # interpolated; the lattice also has points that copy a source exactly
+    rng = np.random.Generator(np.random.PCG64(15))
+    if kind == "lattice":
+        grid = np.meshgrid(np.arange(6), np.arange(6), np.arange(5), indexing="ij")
+        coords = np.stack(grid, axis=-1).reshape(-1, 3).astype(np.float64)
+    else:
+        coords = rng.normal(size=(300, 3))
+    model = build_model(small_config(task=TASK_SEGMENTATION, num_classes=5))
+    model.decoder.classifier.b[:] = rng.normal(size=5)
+    cloud = PointCloud(coords)
+    expected = _interpolate_then_classify(model, cloud)
+    np.testing.assert_allclose(forward_segmentation(model, cloud), expected, rtol=0, atol=1e-12)
+
+
 def test_wrong_task_rejected():
     model = build_model(small_config())
     with pytest.raises(Exception):
@@ -176,6 +209,13 @@ def test_flops_positive_and_monotone_in_layers():
     base = estimate_flops(build_model(small_config(stage3_layers=1)), 64)
     more = estimate_flops(build_model(small_config(stage3_layers=2)), 64)
     assert 0 < base < more
+
+
+def test_segmentation_flops_grow_with_points_by_the_last_interpolation_only():
+    # above the stage-0 budget only the interpolation of the logits to every
+    # input point grows: 3 weights per point and class
+    model = build_model(small_config(task=TASK_SEGMENTATION, num_classes=5))
+    assert estimate_flops(model, 1000) - estimate_flops(model, 100) == 900 * 3 * 5
 
 
 # ---------------------------------------------------------------------- probe

@@ -154,8 +154,8 @@ def test_knn_matches_full_sort_oracle(base, data):
 
 
 def test_knn_matches_oracle_across_row_blocks():
-    # 4800 base points: distances are computed in blocks of about 200 query
-    # rows, so 1200 queries span six blocks; the lattice ties massively
+    # 4800 base points: distances are computed in blocks of 27 query rows,
+    # so 1200 queries span 45 blocks; the lattice ties massively
     rng = np.random.Generator(np.random.PCG64(8))
     grid = np.stack(np.meshgrid(np.arange(20), np.arange(20), np.arange(12), indexing="ij"), -1)
     base = grid.reshape(-1, 3) * 0.1

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from pcmamba import checks
 from pcmamba.errors import ContractViolationError, NumericRangeError
-from pcmamba.nn import softplus
+from pcmamba.nn import rms_norm, silu, softplus
 from pcmamba.ssm import (
+    CONV_WIDTH,
     LTISystem,
     SelectiveSSMLayer,
     bidirectional_mamba,
@@ -378,6 +379,94 @@ def test_bidirectional_reverse_swap_symmetry():
     y = bidirectional_mamba(x, fwd, bwd)
     y_swapped = bidirectional_mamba(x[::-1], bwd, fwd)
     np.testing.assert_array_equal(y_swapped, y[::-1])
+
+
+# ------------------------------------------ in-place forms, bit for bit
+# Out-of-place forms of the Mamba kernels: a padded copy for the causal
+# conv, fresh arrays for every sum and product. The in-place code must
+# match them bit for bit and write none of its inputs.
+
+
+def _conv_padded(u, w, b):
+    m, d = u.shape
+    width = w.shape[1]
+    padded = np.vstack([np.zeros((width - 1, d)), u])
+    out = np.zeros_like(u)
+    for i in range(width):
+        out += w[:, i] * padded[i : i + m]
+    return out + b
+
+
+def _block_out_of_place(x, layer, residual=True):
+    h = rms_norm(x, layer.norm_scale)
+    proj = h @ layer.in_proj_w.T
+    d_inner = layer.d_inner
+    u, gate = proj[:, :d_inner], proj[:, d_inner:]
+    u = silu(_conv_padded(u, layer.conv_w, layer.conv_b))
+    y = selective_ssm(u, layer) * silu(gate)
+    out = y @ layer.out_proj_w.T
+    return x + out if residual else out
+
+
+def _layer_snapshot(layer):
+    return [arr.copy() for _, arr in layer.named_params("")]
+
+
+def _assert_layer_unchanged(layer, snapshot):
+    for (_, arr), before in zip(layer.named_params(""), snapshot):
+        np.testing.assert_array_equal(arr, before)
+
+
+@pytest.mark.parametrize("m", [1, CONV_WIDTH - 1, CONV_WIDTH, 37])
+def test_causal_conv_matches_padded_copy_bit_exact(m):
+    rng = rng_for(16)
+    proj = rng.normal(size=(m, 10))
+    u = proj[:, :5]  # a column view, as mamba_block passes it
+    w, b = rng.normal(size=(5, CONV_WIDTH)), rng.normal(size=5)
+    keep = proj.copy(), w.copy(), b.copy()
+    np.testing.assert_array_equal(causal_depthwise_conv(u, w, b), _conv_padded(u, w, b))
+    for arr, before in zip((proj, w, b), keep):
+        np.testing.assert_array_equal(arr, before)
+
+
+def test_selective_skip_term_bit_exact():
+    rng = rng_for(17)
+    layer = SelectiveSSMLayer.init(rng, 8)
+    layer.d_skip[:] = rng.normal(size=8)
+    u = rng.normal(size=(40, 8))
+    keep = u.copy()
+    no_skip = SelectiveSSMLayer(**{**vars(layer), "d_skip": np.zeros(8)})
+    expected = selective_ssm(u, no_skip) + layer.d_skip * u
+    np.testing.assert_array_equal(selective_ssm(u, layer), expected)
+    np.testing.assert_array_equal(u, keep)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("m", [2, 41])
+def test_block_matches_out_of_place_bit_exact(residual, m):
+    rng = rng_for(18)
+    layer = SelectiveSSMLayer.init(rng, 12)
+    outer = rng.normal(size=(2 * m, 12))
+    x = outer[::-2]  # a reversed, strided caller view
+    keep, snapshot = outer.copy(), _layer_snapshot(layer)
+    got = mamba_block(x, layer, residual=residual)
+    np.testing.assert_array_equal(got, _block_out_of_place(x, layer, residual=residual))
+    np.testing.assert_array_equal(outer, keep)
+    _assert_layer_unchanged(layer, snapshot)
+
+
+def test_bidirectional_matches_out_of_place_bit_exact():
+    rng = rng_for(19)
+    fwd, bwd = SelectiveSSMLayer.init(rng, 12), SelectiveSSMLayer.init(rng, 12)
+    outer = rng.normal(size=(60, 14))
+    x = outer[5:35, 1:13]  # a caller view inside a larger array
+    keep, snapshots = outer.copy(), (_layer_snapshot(fwd), _layer_snapshot(bwd))
+    f = _block_out_of_place(x, fwd, residual=False)
+    b = _block_out_of_place(x[::-1], bwd, residual=False)[::-1]
+    np.testing.assert_array_equal(bidirectional_mamba(x, fwd, bwd), x + (f + b))
+    np.testing.assert_array_equal(outer, keep)
+    for layer, snapshot in zip((fwd, bwd), snapshots):
+        _assert_layer_unchanged(layer, snapshot)
 
 
 def test_a_matrix_strictly_negative():
