@@ -289,7 +289,7 @@ def gam_degenerate_gives_beta(centers, k, beta):
 
 def _small_config(task=TASK_CLASSIFICATION, seed=0):
     stages = tuple(
-        StageConfig(channels=c, num_layers=1, serializations=(name,), points=p, k_neighbors=k)
+        StageConfig(channels=c, serializations=(name,), points=p, k_neighbors=k)
         for c, name, p, k in zip(
             (16, 16, 32, 32), ("xyz", "xzy", "z", "hilbert"), (64, 32, 16, 8), (8, 8, 8, 4)
         )

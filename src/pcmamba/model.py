@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import PROMPT_WIDTH, OrderPromptBank, attach_prompts, positional_embed, strip_prompts
+from .embed import OrderPromptBank, attach_prompts, positional_embed, strip_prompts
 from .errors import ConfigurationError, DegenerateLabelsError, InvalidInputError, NumericRangeError
 from .local import GAMParams, MLPStack, local_aggregate
 from .nn import AffineMap, silu
 from .pointset import NormalizedCloud, PointCloud, canonical_tiebreak_order, normalize_unit_cube
-from .sample import NeighborhoodIndex, farthest_point_sample, interpolate_features, knn
+from .sample import INTERP_K, NeighborhoodIndex, farthest_point_sample, interpolate_features, knn
 from .serialize import ORDER_NAMES, serialize
-from .ssm import CONV_WIDTH, STATE_SIZE, SelectiveSSMLayer, bidirectional_mamba
+from .ssm import SelectiveSSMLayer, bidirectional_mamba
 
 TASK_CLASSIFICATION = "classification"
 TASK_SEGMENTATION = "part_segmentation"
@@ -47,21 +47,15 @@ def _require_count(config, minimums):
 
 @dataclass(frozen=True)
 class StageConfig:
-    """Width, depth, per-layer serialization orders, and sampling for one stage."""
+    """Width, per-layer serialization orders (one Mamba layer each), and sampling of a stage."""
 
     channels: int
-    num_layers: int
     serializations: tuple
     points: int
     k_neighbors: int = 12
 
     def __post_init__(self):
-        _require_count(self, {"channels": 1, "num_layers": 0, "points": 1, "k_neighbors": 1})
-        if len(self.serializations) != self.num_layers:
-            raise ConfigurationError(
-                f"stage declares {self.num_layers} layers but "
-                f"{len(self.serializations)} serializations"
-            )
+        _require_count(self, {"channels": 1, "points": 1, "k_neighbors": 1})
         for name in self.serializations:
             if name not in ORDER_NAMES:
                 raise ConfigurationError(
@@ -137,7 +131,7 @@ def preset_config(
         raise ConfigurationError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}")
     preset = _PRESETS[name]
     stages = tuple(
-        StageConfig(channels=c, num_layers=len(s), serializations=s, points=p)
+        StageConfig(channels=c, serializations=s, points=p)
         for c, s, p in zip(preset["channels"], preset["serializations"], POINT_SCHEDULE)
     )
     return ModelConfig(
@@ -233,7 +227,7 @@ def _assemble(config: ModelConfig, rng) -> Model:
         phi2 = MLPStack.init(rng, d, d, depth=1)
         layers = [
             (SelectiveSSMLayer.init(rng, d), SelectiveSSMLayer.init(rng, d))
-            for _ in range(sc.num_layers)
+            for _ in sc.serializations
         ]
         stages.append(StageModule(gam=gam, phi1=phi1, phi2=phi2, layers=layers))
         d_prev = d
@@ -390,54 +384,56 @@ def count_parameters(model: Model, per_module: bool = False):
     return groups
 
 
-def estimate_flops(model: Model, n_points: int) -> int:
-    """Analytic multiply-accumulate count for one forward pass.
+def _weights(module, suffix: str = ".w") -> int:
+    """Total size of the weight matrices of ``module`` (its parameters named
+    ``*{suffix}``): the multiply-accumulates of one row through them."""
+    return sum(w.size for name, w in module.named_params("") if name.endswith(suffix))
 
-    Counts the dense work (affine maps, depthwise conv, recurrence updates,
-    neighborhood MLPs, interpolation weights); index manipulation and sorting
-    are not MACs and are excluded. Segmentation counts the classifier on
-    the stage-0 rows and the last interpolation over ``num_classes``
-    channels, as ``forward_segmentation`` computes them.
+
+def _mamba_macs_per_token(layer: SelectiveSSMLayer) -> int:
+    """One direction per token: its projection and conv weights (the
+    ``*_w`` arrays), 4 per state and channel for the recurrence (dt * A,
+    dt * u * B, the update, the readout) and one per channel for the gate."""
+    return _weights(layer, "_w") + 4 * layer.a_log.size + layer.d_inner
+
+
+def estimate_flops(model: Model, n_points: int) -> int:
+    """Multiply-accumulates that one forward pass over ``n_points`` points executes.
+
+    Each term is rows times the size of the weight a step multiplies, read
+    from the model's modules as ``encode`` and ``forward_*`` run them: the
+    stem per point; per stage, the GAM, phi1 entry and first ``affine1``
+    folded (``local._fold``) over the previous stage's points plus one
+    constant row, the rest of phi1 per neighbor row and phi2 per center;
+    per layer, the positional and prompt affines and both Mamba directions
+    per token; then the head, or the decoder with its interpolation
+    weights, the classifier on the stage-0 rows and the last interpolation
+    over ``num_classes`` channels. Elementwise work (norms, activations),
+    index manipulation and sorting are not counted.
     """
     cfg = model.config
-    # tokens per stage: each stage keeps at most its point budget
+    # points per stage: each stage keeps at most its point budget
     _, *counts = itertools.accumulate((sc.points for sc in cfg.stages), min, initial=n_points)
-    n0 = counts[0]
-    d1 = cfg.stages[0].channels
-    total = n0 * (3 + cfg.in_features) * d1 + n0 * 2 * d1 * d1  # stem
-    d_prev = d1
-    for l, sc in enumerate(cfg.stages):
-        m = counts[l]
-        d = sc.channels
-        k = sc.k_neighbors
-        # local aggregation: entry + one residual block per neighbor, one per center
-        total += m * k * (d_prev * d + 2 * d * d) + m * 2 * d * d
-        rank = max(1, d // 16)
-        m_seq = m + 2 * cfg.n_p
-        per_direction = (
-            m_seq * d * 2 * d  # in_proj
-            + m_seq * d * CONV_WIDTH  # depthwise conv
-            + m_seq * 2 * d * rank  # factored dt projection
-            + m_seq * 2 * d * STATE_SIZE  # b_proj, c_proj
-            + m_seq * 4 * d * STATE_SIZE  # recurrence update + readout
-            + m_seq * d  # gate product
-            + m_seq * d * d  # out_proj
-        )
-        per_layer = 2 * per_direction + m * 3 * d + cfg.n_p * PROMPT_WIDTH * d
-        total += sc.num_layers * per_layer
-        d_prev = d
-    if cfg.task == TASK_CLASSIFICATION:
-        total += cfg.stages[-1].channels * HEAD_HIDDEN
-        total += HEAD_HIDDEN * cfg.num_classes
-    else:
-        for lvl in (2, 1, 0):
-            d = cfg.stages[lvl].channels
-            d_above = cfg.stages[lvl + 1].channels
-            n_l = counts[lvl]
-            total += n_l * 3 * d_above  # interpolation weights
-            total += n_l * ((d_above + d) * d + d * d)
-        total += n0 * cfg.stages[0].channels * cfg.num_classes
-        total += n_points * 3 * cfg.num_classes
+    n_prev = counts[0]
+    total = n_prev * _weights(model.stem)
+    for l, (sc, stage) in enumerate(zip(cfg.stages, model.stages)):
+        m, k = counts[l], min(sc.k_neighbors, n_prev)
+        phi1 = stage.phi1
+        folded = sum(a.w.size for a in (phi1.entry, phi1.blocks[0].affine1) if a is not None)
+        total += (n_prev + 1) * folded + m * k * (_weights(phi1) - folded)
+        total += m * _weights(stage.phi2)
+        tokens = m + 2 * cfg.n_p
+        for fwd, bwd in stage.layers:
+            total += tokens * (_mamba_macs_per_token(fwd) + _mamba_macs_per_token(bwd))
+            total += m * model.pos_maps[l].w.size
+            total += cfg.n_p * model.prompt_bank.stage_proj[l].w.size
+        n_prev = m
+    if model.head is not None:
+        return int(total + sum(a.w.size for a in model.head))  # one pooled row
+    for (t1, t2), lvl in zip(model.decoder.transforms, (2, 1, 0)):
+        total += counts[lvl] * (INTERP_K * cfg.stages[lvl + 1].channels + t1.w.size + t2.w.size)
+    classifier = model.decoder.classifier
+    total += counts[0] * classifier.w.size + n_points * INTERP_K * classifier.d_out
     return int(total)
 
 

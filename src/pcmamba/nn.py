@@ -13,9 +13,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def silu(x):
-    """x / (1 + exp(-x)), computed in one buffer besides the input."""
-    out = np.negative(x)
+def silu(x, out=None):
+    """x / (1 + exp(-x)), computed in one buffer besides the input: ``out``,
+    which must not be ``x``, or a new array."""
+    out = np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0
     return np.divide(x, out, out=out)

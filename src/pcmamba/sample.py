@@ -21,7 +21,7 @@ _BLOCK_ENTRIES = 131_072
 
 # Nearest sources averaged per target, and target rows per gather of source
 # features, in interpolate_features.
-_INTERP_K = 3
+INTERP_K = 3
 _INTERP_BLOCK_ROWS = 1024
 
 
@@ -175,9 +175,9 @@ def interpolate_features(target_coords, source_coords, source_features) -> np.nd
     feats = np.asarray(source_features, dtype=np.float64)
     if len(source) == 0:
         raise InvalidInputError("interpolation needs at least one source point")
-    if len(source) < _INTERP_K:
-        raise ValueError(f"need at least {_INTERP_K} source points, got {len(source)}")
-    hood = knn(target, source, _INTERP_K)
+    if len(source) < INTERP_K:
+        raise ValueError(f"need at least {INTERP_K} source points, got {len(source)}")
+    hood = knn(target, source, INTERP_K)
     diffs = target[:, None, :] - source[hood.neighbors]
     dist = np.sqrt((diffs**2).sum(axis=2))  # (M, 3), rows ascending
     out = np.empty((len(target), feats.shape[1]), dtype=feats.dtype)

@@ -164,18 +164,14 @@ def hilbert_code(cells, grid_n: int):
     """3-D Hilbert curve index of each row of an N x 3 cell array.
 
     Bijective on the (power-of-two padded) cube, and consecutive indices are
-    always one unit grid step apart.
+    always one unit grid step apart. The index is the Morton interleave of
+    the transposed Hilbert axes in reverse order: bit b of axis i lands at
+    bit 3 * b + 2 - i.
     """
     if grid_n > MAX_GRID_INTERLEAVE:
         raise ValueError(f"grid_n must be <= {MAX_GRID_INTERLEAVE} for interleaving")
-    cells = np.asarray(cells, dtype=np.int64)
-    bits = _bits_for(grid_n)
-    tr = _hilbert_transpose(cells, bits)
-    code = np.zeros(len(tr), dtype=np.uint64)
-    for b in range(bits - 1, -1, -1):
-        for i in range(3):
-            code = (code << np.uint64(1)) | ((tr[:, i] >> np.uint64(b)) & np.uint64(1))
-    return code.astype(np.int64)
+    tr = _hilbert_transpose(np.asarray(cells, dtype=np.int64), _bits_for(grid_n))
+    return morton_code(tr[:, ::-1], grid_n)
 
 
 def order_codes(cells, grid_n: int, name: str, mode: str = MODE_BIJECTIVE) -> np.ndarray:

@@ -293,11 +293,11 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer):
     # broadcast over contiguous rows of Di channels
     a = np.ascontiguousarray(-np.exp(layer.a_log).T)  # (S, Di)
     h = np.zeros((s, d_inner))
-    y = np.empty((m, d_inner))
     # Per-step (S, Di) parameters are materialized in bounded segments into
     # scratch buffers reused across segments: results are identical for any
     # segment length (all ops elementwise), while the buffers stay in cache
     # and per-call allocation stays constant, so wall time is linear in M.
+    # y overwrites each segment of dt once that segment is consumed.
     seg = min(m, max(1, 65_536 // (d_inner * s)))
     a_bar = np.empty((seg, s, d_inner))
     bx = np.empty((seg, s, d_inner))
@@ -316,11 +316,10 @@ def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer):
                 raise NumericRangeError(msg) from exc
         np.exp(z, out=z)
         # sequential recurrence (state order is load-bearing) with the
-        # readout y_t = C_t @ h_t taken at each step
-        _recur(a_bar[:n], bx[:n], h, y[start:end], c_tok[start:end])
-    # the skip term d_skip * u goes through dt's buffer, no longer needed
-    y += np.multiply(layer.d_skip, u, out=dt)
-    return y
+        # readout y_t = C_t @ h_t taken at each step, then the skip term
+        _recur(a_bar[:n], bx[:n], h, dts, c_tok[start:end])
+        dts += layer.d_skip * u[start:end]
+    return dt
 
 
 def causal_depthwise_conv(u: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -352,12 +351,14 @@ def mamba_block(x: np.ndarray, layer: SelectiveSSMLayer, residual: bool = True):
     to D. The input is added back unless ``residual`` is False (the
     bidirectional wrapper applies the residual once itself).
     """
-    proj = rms_norm(x, layer.norm_scale) @ layer.in_proj_w.T
-    d_inner = layer.d_inner
-    u, gate = proj[:, :d_inner], proj[:, d_inner:]
-    u = silu(causal_depthwise_conv(u, layer.conv_w, layer.conv_b))
+    normed = rms_norm(x, layer.norm_scale)
+    u, gate = (normed @ w.T for w in np.split(layer.in_proj_w, 2))
+    del normed
+    # u's buffer takes SiLU of its conv, and after the scan SiLU of the gate
+    u = silu(causal_depthwise_conv(u, layer.conv_w, layer.conv_b), out=u)
     y = selective_ssm(u, layer)
-    y *= silu(gate)
+    y *= silu(gate, out=u)
+    del u, gate
     out = y @ layer.out_proj_w.T
     if residual:
         out += x

@@ -7,12 +7,11 @@ from pcmamba.pointset import PointCloud
 def small_config(task="classification", num_classes=3, seed=0, stage3_layers=1, **kw):
     """Four tiny stages so model-level tests run in milliseconds."""
     stages = (
-        StageConfig(channels=12, num_layers=1, serializations=("xyz",), points=48, k_neighbors=6),
-        StageConfig(channels=12, num_layers=1, serializations=("xzy",), points=24, k_neighbors=6),
-        StageConfig(channels=24, num_layers=1, serializations=("z",), points=12, k_neighbors=6),
+        StageConfig(channels=12, serializations=("xyz",), points=48, k_neighbors=6),
+        StageConfig(channels=12, serializations=("xzy",), points=24, k_neighbors=6),
+        StageConfig(channels=24, serializations=("z",), points=12, k_neighbors=6),
         StageConfig(
             channels=24,
-            num_layers=stage3_layers,
             serializations=("hilbert",) * stage3_layers,
             points=6,
             k_neighbors=4,

@@ -13,14 +13,9 @@ import io
 from pathlib import Path
 
 import pcmamba.cli
+import pcmamba.model
 from conftest import random_cloud, small_config
-from pcmamba.model import (
-    TASK_SEGMENTATION,
-    build_model,
-    estimate_flops,
-    forward_classification,
-    forward_segmentation,
-)
+from pcmamba.model import TASK_SEGMENTATION, build_model, estimate_flops
 
 
 def _load_tracer():
@@ -42,9 +37,11 @@ def test_traced_requests_equal_untraced_and_count_work():
     cls_model = build_model(small_config())
     seg_model = build_model(small_config(task=TASK_SEGMENTATION))
     cloud = random_cloud(n=96, seed=4)
+    # through the module, as the benchmark's workloads call them, so the
+    # tracer's wrappers are the functions called
     requests = (
-        lambda: forward_classification(cls_model, cloud),
-        lambda: forward_segmentation(seg_model, cloud),
+        lambda: pcmamba.model.forward_classification(cls_model, cloud),
+        lambda: pcmamba.model.forward_segmentation(seg_model, cloud),
         _serialize_report,
     )
     plain = [request() for request in requests]
@@ -56,6 +53,9 @@ def test_traced_requests_equal_untraced_and_count_work():
     assert traced[1].tobytes() == plain[1].tobytes()
     assert traced[2] == plain[2] and plain[2][0] == 0
     metrics = tracer.per_request()
+    # the tracer adds estimate_flops(model, cloud.n_points) per forward
+    n = cloud.n_points
+    assert tracer.counts["model.macs"] == estimate_flops(cls_model, n) + estimate_flops(seg_model, n)
     for name in (
         "serialize.serialize.points",
         "local.local_aggregate.neighbor_rows",

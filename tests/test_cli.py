@@ -212,7 +212,8 @@ def _with_stage0(**changes):
     "config, field",
     [
         ({}, "stages"),
-        (_with_stage0(num_layers=None), "num_layers"),
+        (_with_stage0(serializations=None), "serializations"),
+        (_with_stage0(num_layers=1), "num_layers"),
         ({**SMALL_CONFIG, "stages": 5}, "stages"),
         ([SMALL_CONFIG], "stages"),
         (_with_stage0(channels="12"), "channels"),
@@ -226,8 +227,8 @@ def _with_stage0(**changes):
         ({**SMALL_CONFIG, "seed": 1}, "seed"),
     ],
     ids=[
-        "empty", "no-num_layers", "stages-int", "top-level-list", "channels-str",
-        "channels-0", "serializations-str", "state_size-0", "n_p-negative",
+        "empty", "no-serializations", "num_layers-in-file", "stages-int", "top-level-list",
+        "channels-str", "channels-0", "serializations-str", "state_size-0", "n_p-negative",
         "serialization-unknown", "top-level-typo", "stage-typo", "seed-in-file",
     ],
 )

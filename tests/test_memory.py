@@ -1,15 +1,18 @@
 """Working-set bounds under ``tracemalloc``: no intermediate of the forward
 pass may grow with M * K * D (neighbor rows times width) or with N * C
-(input points times decoder width)."""
+(input points times decoder width), and a Mamba layer holds a bounded
+number of (M, D) sequences."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from pcmamba.local import GAMParams, MLPStack, local_aggregate
 from pcmamba.model import TASK_SEGMENTATION, build_model, forward_segmentation, preset_config
 from pcmamba.pointset import PointCloud
 from pcmamba.sample import NeighborhoodIndex, knn
+from pcmamba.ssm import SelectiveSSMLayer, bidirectional_mamba
 
 
 def _peak_bytes(fn):
@@ -39,6 +42,19 @@ def test_local_aggregate_peak_grows_with_points_not_neighbor_rows():
     small, small_peak = _aggregate(1024)
     large, large_peak = _aggregate(4096)
     assert large_peak - small_peak <= 5 * (large.nbytes - small.nbytes)
+
+
+@pytest.mark.parametrize("m, d", [(1036, 384), (268, 768)])
+def test_bidirectional_mamba_peak_at_most_5_5_sequences(m, d):
+    # stage 0 and stage 3 of "pcm" (with 2 x 6 prompt tokens): while the
+    # backward direction runs, the forward output, u, the gate and dt (which
+    # the scan overwrites with y) are live, plus one temporary of the conv or
+    # softplus; an (M, 2 Di) in-projection or a separate y adds one more
+    rng = np.random.Generator(np.random.PCG64(m))
+    x = rng.normal(size=(m, d))
+    fwd, bwd = SelectiveSSMLayer.init(rng, d), SelectiveSSMLayer.init(rng, d)
+    _, peak = _peak_bytes(lambda: bidirectional_mamba(x, fwd, bwd))
+    assert peak <= 5.5 * x.nbytes
 
 
 def test_knn_peak_grows_by_its_output_only():

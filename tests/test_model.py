@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcmamba.local
+import pcmamba.model
+import pcmamba.ssm
 from conftest import random_cloud, small_config
 from pcmamba.errors import DegenerateLabelsError, InvalidInputError
 from pcmamba.model import (
@@ -18,7 +21,7 @@ from pcmamba.model import (
 )
 from pcmamba.nn import AffineMap, silu
 from pcmamba.pointset import PointCloud
-from pcmamba.sample import interpolate_features
+from pcmamba.sample import INTERP_K, interpolate_features
 from pcmamba.ssm import SelectiveSSMLayer
 
 
@@ -209,6 +212,49 @@ def test_flops_positive_and_monotone_in_layers():
     base = estimate_flops(build_model(small_config(stage3_layers=1)), 64)
     more = estimate_flops(build_model(small_config(stage3_layers=2)), 64)
     assert 0 < base < more
+
+
+def _count_executed_macs(monkeypatch):
+    """Wrap the program's dense steps so each adds its multiply-accumulates
+    to the returned counter: rows x weight size for every ``AffineMap`` call
+    and every ``local._fold`` product (its points and the constant row),
+    tokens x the per-token terms of each Mamba direction, read from that
+    layer's arrays, and ``INTERP_K`` weights per interpolated row and
+    channel."""
+    counted = [0]
+
+    def wrap(owner, name, macs):
+        inner = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counted[0] += int(macs(*args))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    def mamba(x, layer, *_):
+        weights = (
+            layer.in_proj_w, layer.conv_w, layer.dt_down_w, layer.dt_up_w,
+            layer.b_proj_w, layer.c_proj_w, layer.out_proj_w,
+        )
+        recurrence = 4 * layer.d_inner * layer.state_size  # dt*A, dt*u*B, update, readout
+        return len(x) * (sum(w.size for w in weights) + recurrence + layer.d_inner)
+
+    wrap(AffineMap, "__call__", lambda self, x: x.size // x.shape[-1] * self.w.size)
+    wrap(pcmamba.local, "_fold", lambda lin, const, affine: (len(lin) + 1) * affine.w.size)
+    wrap(pcmamba.ssm, "mamba_block", mamba)
+    wrap(pcmamba.model, "interpolate_features", lambda t, s, f: len(t) * INTERP_K * f.shape[1])
+    return counted
+
+
+@pytest.mark.parametrize("preset", ["pcm-tiny", "pcm"])
+@pytest.mark.parametrize("task", ["classification", TASK_SEGMENTATION])
+def test_estimate_flops_equals_executed_macs(monkeypatch, preset, task):
+    model = build_model(preset_config(preset, task=task, num_classes=15))
+    forward = forward_classification if model.head is not None else forward_segmentation
+    counted = _count_executed_macs(monkeypatch)
+    forward(model, random_cloud(n=1024, seed=21))
+    assert counted[0] == estimate_flops(model, 1024)
 
 
 def test_segmentation_flops_grow_with_points_by_the_last_interpolation_only():

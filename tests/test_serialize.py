@@ -126,6 +126,32 @@ def test_hilbert_zero():
     assert ser.hilbert_code(np.array([[0, 0, 0]]), 4)[0] == 0
 
 
+def _hilbert_code_bitwise(cells, grid_n):
+    """The Hilbert index assembled one bit at a time: for each bit plane from
+    the top, the bits of the transposed axes 0, 1, 2 in that order."""
+    bits = ser._bits_for(grid_n)
+    tr = ser._hilbert_transpose(np.asarray(cells, dtype=np.int64), bits)
+    code = np.zeros(len(tr), dtype=np.uint64)
+    for b in range(bits - 1, -1, -1):
+        for i in range(3):
+            code = (code << np.uint64(1)) | ((tr[:, i] >> np.uint64(b)) & np.uint64(1))
+    return code.astype(np.int64)
+
+
+def test_hilbert_code_matches_bitwise_oracle_on_full_grids():
+    for grid_n in range(2, 65):
+        axis = np.arange(grid_n)
+        cells = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        codes = ser.hilbert_code(cells, grid_n)
+        assert (codes == _hilbert_code_bitwise(cells, grid_n)).all(), grid_n
+
+
+@pytest.mark.parametrize("grid_n", [1 << 10, 1 << 21])
+def test_hilbert_code_matches_bitwise_oracle_on_large_grids(grid_n):
+    cells = np.random.Generator(np.random.PCG64(grid_n)).integers(0, grid_n, size=(5000, 3))
+    assert (ser.hilbert_code(cells, grid_n) == _hilbert_code_bitwise(cells, grid_n)).all()
+
+
 def test_hilbert_bijective_unit_steps_grid4():
     assert checks.hilbert_bijective().passed
     assert checks.hilbert_unit_steps().passed
