@@ -7,7 +7,6 @@ from .pointset import NormalizedCloud, PointCloud, canonical_tiebreak_order, nor
 # pcmamba.serialize.serialize or import it from the submodule.
 from .serialize import (
     code_func,
-    cts_code,
     grid_quantize,
     hilbert_code,
     locality_metrics,

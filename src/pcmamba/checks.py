@@ -32,7 +32,7 @@ invariants, and stay in the test module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def cts_snake(grid_n):
 
 def paper_literal_collides(grid_n):
     """Passes when the paper's literal pairing code gives two cells one code."""
-    collisions = _duplicates(ser.cts_code(_full_grid(grid_n), grid_n, (0, 1, 2), ser.MODE_PAPER))
+    collisions = _duplicates(ser.order_codes(_full_grid(grid_n), grid_n, "xyz", ser.MODE_PAPER))
     return CheckResult(f"paper_literal_collides_grid{grid_n}", collisions > 0, collisions, 1.0)
 
 
@@ -158,8 +158,8 @@ def serialize_pure_function(rng, n):
 def refinement_preserves_distinction(rng):
     """Points sharing a grid-4 cell share their grid-2 cell."""
     nc = normalize_unit_cube(PointCloud(rng.uniform(0, 1, size=(200, 3))))
-    coarse = ser.cts_code(ser.grid_quantize(nc, 2), 2)
-    fine = ser.cts_code(ser.grid_quantize(nc, 4), 4)
+    coarse = ser.order_codes(ser.grid_quantize(nc, 2), 2, "xyz")
+    fine = ser.order_codes(ser.grid_quantize(nc, 4), 4, "xyz")
     merged = sum(int(np.any((fine == f) & (coarse != c))) for f, c in zip(fine, coarse))
     return _check("refinement_preserves_distinction", merged, 0)
 
@@ -309,6 +309,19 @@ def segmentation_permutation_equivariant(model, coords, perm):
     return _differing("segmentation_permutation_equivariant", shuffled, seg[perm])
 
 
+def coincident_points_permutation_invariant(cls_model, seg_model, rows, perms):
+    """Points given as coordinate then feature columns (``rows``), which may
+    share coordinates: under each permutation, classification logits stay
+    and segmentation logits follow their points, bit for bit."""
+    differing = 0
+    for forward, model in ((forward_classification, cls_model), (forward_segmentation, seg_model)):
+        out = forward(model, PointCloud(rows[:, :3], rows[:, 3:]))
+        for perm in perms:
+            shuffled = forward(model, PointCloud(rows[perm, :3], rows[perm, 3:]))
+            differing += int((shuffled != (out if model.head is not None else out[perm])).sum())
+    return _check("coincident_points_permutation_invariant", differing, 0)
+
+
 def seeded_build_deterministic(config, cloud):
     """Two builds of a classification config: same parameters, same logits."""
     m1, m2 = build_model(config), build_model(config)
@@ -422,12 +435,20 @@ def model_checks(seed: int = 0):
     small_cls = build_model(_small_config(seed=seed))
     clouds = (PointCloud(_rng(s).uniform(0.0, 1.0, size=(64, 3))) for s in range(1000, 1100))
     bad = sum(not np.isfinite(forward_classification(small_cls, c)).all() for c in clouds)
+    # 64 points with two feature columns, the last 32 at the coordinates of the first 32
+    feat_rng = _rng(seed + 2)
+    rows = feat_rng.uniform(0.0, 1.0, size=(64, 5))
+    rows[32:, :3] = rows[:32, :3]
+    tasks = (TASK_CLASSIFICATION, TASK_SEGMENTATION)
+    feat_models = [build_model(replace(_small_config(t, seed), in_features=2)) for t in tasks]
+    perms = [feat_rng.permutation(64) for _ in range(5)]
     return results + [
         _check("stage_token_counts", int(counts != [1024, 512, 256, 128]), 0),
         _check("activations_finite_100_clouds", int(bad), 0),
-        seeded_build_deterministic(_small_config(seed=seed), cloud.select(np.arange(200))),
+        seeded_build_deterministic(_small_config(seed=seed), PointCloud(coords[:200])),
         parameter_budget("pcm-tiny"),
         parameter_budget("pcm"),
+        coincident_points_permutation_invariant(*feat_models, rows, perms),
     ]
 
 

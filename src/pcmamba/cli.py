@@ -394,7 +394,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    config = _resolve_config(args.config, TASK_CLASSIFICATION, 15, seed=args.seed)
+    config = _resolve_config(args.config, TASK_CLASSIFICATION, 15)
     model = _unfilled_model(config)  # counts and MACs read no parameter value
     groups = count_parameters(model, per_module=True)
     total = sum(groups.values())
@@ -543,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="parameter and FLOP accounting")
     p.add_argument("--config", default="pcm-tiny")
     p.add_argument("--n", type=_positive_int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser("probe", help="linear probe on frozen pooled features")

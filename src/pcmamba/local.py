@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import AffineMap, rms_norm, silu
+from .nn import AffineMap, Params, rms_norm, silu
 from .sample import NeighborhoodIndex
 
 # Entries (rows x the widest layer width) per block of centers in
@@ -25,7 +25,7 @@ _BLOCK_ENTRIES = 73_728
 
 
 @dataclass
-class GAMParams:
+class GAMParams(Params):
     """Per-channel scale/shift for the geometric affine normalization.
 
     ``alpha`` multiplies the normalized deviations, ``beta``
@@ -43,10 +43,6 @@ class GAMParams:
     @classmethod
     def init(cls, d: int):
         return cls(alpha=np.ones(d), beta=np.zeros(d))
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.alpha", self.alpha
-        yield f"{prefix}.beta", self.beta
 
 
 def _center_blocks(m: int, k: int, width: int) -> list:
@@ -101,7 +97,7 @@ def gam_normalize(
 
 
 @dataclass
-class ResidualMLP:
+class ResidualMLP(Params):
     """x + norm(affine2(silu(norm(affine1(x))))) with equal in/out width."""
 
     affine1: AffineMap
@@ -124,24 +120,19 @@ class ResidualMLP:
         out += x
         return out
 
-    def named_params(self, prefix: str):
-        yield from self.affine1.named_params(f"{prefix}.affine1")
-        yield from self.affine2.named_params(f"{prefix}.affine2")
-        yield f"{prefix}.norm1_scale", self.norm1_scale
-        yield f"{prefix}.norm2_scale", self.norm2_scale
-
 
 @dataclass
 class MLPStack:
-    """Optional width-changing entry affine followed by residual blocks."""
+    """A width-changing entry affine, present only when the widths differ,
+    followed by one residual block; ``blocks`` holds that block."""
 
     entry: AffineMap | None
     blocks: list = field(default_factory=list)
 
     @classmethod
-    def init(cls, rng, d_in: int, d_out: int, depth: int = 1):
+    def init(cls, rng, d_in: int, d_out: int):
         entry = None if d_in == d_out else AffineMap.init(rng, d_in, d_out)
-        return cls(entry=entry, blocks=[ResidualMLP.init(rng, d_out) for _ in range(depth)])
+        return cls(entry=entry, blocks=[ResidualMLP.init(rng, d_out)])
 
     @property
     def d_in(self) -> int:
@@ -150,10 +141,7 @@ class MLPStack:
         return self.blocks[0].affine1.d_in
 
     def __call__(self, x):
-        if x.shape[-1] != self.d_in:
-            raise ConfigurationError(
-                f"stack expects {self.d_in} input channels, got {x.shape[-1]}"
-            )
+        # the first affine (entry or affine1) checks the input width
         if self.entry is not None:
             x = self.entry(x)
         for block in self.blocks:
@@ -191,7 +179,7 @@ def local_aggregate(
 
     The max over the K neighbors makes the result invariant to neighbor
     order and to duplicated neighbors. The GAM affine, phi1's optional
-    entry affine and the first block's ``affine1`` are linear in the
+    entry affine and its block's ``affine1`` are linear in the
     deviation f_j - f_i, so they run once per point, as ``Q = F @ W'.T``,
     and each neighbor row is gathered as ``Q[j] - Q[i] + c`` (likewise the
     entry output, which the residual needs). Everything per neighbor row
@@ -211,23 +199,21 @@ def local_aggregate(
             f"stack expects {phi1.d_in} input channels, got {features.shape[-1]}"
         )
     centers, neighbors = neighborhood.centers, neighborhood.neighbors
-    first, rest = phi1.blocks[0], phi1.blocks[1:]
+    (block,) = phi1.blocks
     m, k = neighbors.shape
-    bounds = _center_blocks(m, k, max(phi1.d_in, first.affine2.d_out))
+    bounds = _center_blocks(m, k, max(phi1.d_in, block.affine2.d_out))
     sigma = gam_sigma(features, neighborhood, bounds)
     lin = features * (gam.alpha / (sigma + gam.delta))
     const = gam.beta
     if phi1.entry is not None:
         lin, const = _fold(lin, const, phi1.entry)
-    q, q_const = _fold(lin, const, first.affine1)
-    pooled = np.empty((m, first.affine2.d_out), dtype=lin.dtype)
+    q, q_const = _fold(lin, const, block.affine1)
+    pooled = np.empty((m, block.affine2.d_out), dtype=lin.dtype)
     for start, end in zip(bounds, bounds[1:]):
         nb, ctr = neighbors[start:end], centers[start:end]
-        h = silu(rms_norm(_rows(q, q_const, nb, ctr), first.norm1_scale))
-        lifted = rms_norm(first.affine2(h), first.norm2_scale)
+        h = silu(rms_norm(_rows(q, q_const, nb, ctr), block.norm1_scale))
+        lifted = rms_norm(block.affine2(h), block.norm2_scale)
         lifted += _rows(lin, const, nb, ctr)
-        for block in rest:
-            lifted = block(lifted)
         lifted.reshape(end - start, k, -1).max(axis=1, out=pooled[start:end])
     del lin, q  # per-point arrays that phi2 does not need
     return phi2(pooled)

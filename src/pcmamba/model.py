@@ -8,9 +8,9 @@ per-layer orders stay independent.
 
 The whole forward pass is a pure function of the point geometry: inputs are
 reordered canonically on entry (and segmentation outputs mapped back), so
-permuting a distinct-coordinate input cloud cannot change a single bit of
-the output. One seeded 64-bit PCG64 generator, consumed in a fixed build
-order, drives every parameter initialization.
+permuting an input cloud cannot change a single bit of the output. One
+seeded 64-bit PCG64 generator, consumed in a fixed build order, drives every
+parameter initialization.
 """
 
 from __future__ import annotations
@@ -217,14 +217,14 @@ def _unfilled_model(config: ModelConfig) -> Model:
 
 def _assemble(config: ModelConfig, rng) -> Model:
     d1 = config.stages[0].channels
-    stem = MLPStack.init(rng, 3 + config.in_features, d1, depth=1)
+    stem = MLPStack.init(rng, 3 + config.in_features, d1)
     stages = []
     d_prev = d1
     for sc in config.stages:
         d = sc.channels
         gam = GAMParams.init(d_prev)
-        phi1 = MLPStack.init(rng, d_prev, d, depth=1)
-        phi2 = MLPStack.init(rng, d, d, depth=1)
+        phi1 = MLPStack.init(rng, d_prev, d)
+        phi2 = MLPStack.init(rng, d, d)
         layers = [
             (SelectiveSSMLayer.init(rng, d), SelectiveSSMLayer.init(rng, d))
             for _ in sc.serializations
@@ -273,8 +273,21 @@ class EncodeResult:
     canonical_perm: np.ndarray  # input index of each canonical position
 
 
+def _subsample(coords: np.ndarray, budget: int) -> np.ndarray:
+    """Sorted indices of at most ``budget`` points: all of them, or a
+    farthest-point sample of ``budget`` when there are more."""
+    if len(coords) <= budget:
+        return np.arange(len(coords))
+    return np.sort(farthest_point_sample(coords, budget))
+
+
 def encode(model: Model, cloud: PointCloud) -> EncodeResult:
-    """Run the four-stage encoder; see the module docstring for the pipeline."""
+    """Run the four-stage encoder; see the module docstring for the pipeline.
+
+    The canonical order sorts whole input rows, coordinates then features,
+    with every zero made positive first, so points that share coordinates
+    are ordered by their features and equal rows are equal bit for bit.
+    """
     cfg = model.config
     if cloud.n_points < cfg.stages[-1].points:
         raise InvalidInputError(
@@ -287,19 +300,15 @@ def encode(model: Model, cloud: PointCloud) -> EncodeResult:
             f"model expects {expected_feats} feature channels, cloud has {have_feats}"
         )
 
-    canon = canonical_tiebreak_order(cloud.coords)
-    work = cloud.select(canon)
-    normalized = normalize_unit_cube(work)
-    full_coords = normalized.cloud.coords
+    rows = cloud.coords if cloud.features is None else np.hstack([cloud.coords, cloud.features])
+    rows = rows + 0.0  # -0.0 + 0.0 is 0.0
+    canon = canonical_tiebreak_order(rows)
+    rows = rows[canon]
+    full_coords = normalize_unit_cube(PointCloud(rows[:, :3])).cloud.coords
 
-    # resample down to the stage-1 budget when the cloud is larger
-    budget = cfg.stages[0].points
-    if len(full_coords) > budget:
-        keep = np.sort(farthest_point_sample(full_coords, budget))
-    else:
-        keep = np.arange(len(full_coords))
+    keep = _subsample(full_coords, cfg.stages[0].points)
     coords = full_coords[keep]
-    stem_in = coords if work.features is None else np.hstack([coords, work.features[keep]])
+    stem_in = np.hstack([coords, rows[keep, 3:]])
     # coordinates are normalized, so only feature columns (or weights) this
     # large overflow; report it rather than run inf on into the output
     stage_coords, stage_feats = [], []
@@ -307,11 +316,7 @@ def encode(model: Model, cloud: PointCloud) -> EncodeResult:
         try:
             feats = model.stem(stem_in)
             for l, (sc, stage) in enumerate(zip(cfg.stages, model.stages)):
-                if l == 0:
-                    centers = np.arange(len(coords))
-                else:
-                    m = min(sc.points, len(coords))
-                    centers = np.sort(farthest_point_sample(coords, m))
+                centers = _subsample(coords, sc.points)
                 k = min(sc.k_neighbors, len(coords))
                 hood = NeighborhoodIndex(centers, knn(coords[centers], coords, k).neighbors)
                 feats = local_aggregate(feats, hood, stage.phi1, stage.phi2, stage.gam)

@@ -6,7 +6,7 @@ in float64 from an explicit Generator so builds are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,17 +41,32 @@ def softplus_inverse(y):
     return np.log(np.expm1(y))
 
 
-def rms_norm(x, scale, eps=1e-8):
-    """Channel-wise RMS normalization with a learnable per-channel scale."""
+def rms_norm(x, scale):
+    """Channel-wise RMS normalization with a learnable per-channel scale;
+    1e-8 is added to the mean square."""
     out = x * x
-    rms = np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    rms = np.sqrt(out.mean(axis=-1, keepdims=True) + 1e-8)
     np.divide(x, rms, out=out)
     out *= scale
     return out
 
 
+class Params:
+    """Base of the dataclass modules whose tensors are named by their fields."""
+
+    def named_params(self, prefix: str):
+        """``(prefix.field, array)`` per array field in field order; a field
+        that is a ``Params`` yields its own under ``prefix.field``."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                yield f"{prefix}.{f.name}", value
+            elif isinstance(value, Params):
+                yield from value.named_params(f"{prefix}.{f.name}")
+
+
 @dataclass
-class AffineMap:
+class AffineMap(Params):
     """y = x @ w.T + b with weight shape (d_out, d_in)."""
 
     w: np.ndarray
@@ -78,7 +93,3 @@ class AffineMap:
         y = x @ self.w.T
         y += self.b
         return y
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b

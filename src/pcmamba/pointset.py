@@ -49,14 +49,6 @@ class PointCloud:
     def n_points(self) -> int:
         return self.coords.shape[0]
 
-    def select(self, indices) -> "PointCloud":
-        """Sub-cloud at the given point indices (features carried along)."""
-        idx = np.asarray(indices)
-        return PointCloud(
-            coords=self.coords[idx],
-            features=None if self.features is None else self.features[idx],
-        )
-
 
 @dataclass(frozen=True)
 class NormalizedCloud:
@@ -84,14 +76,16 @@ def normalize_unit_cube(cloud: PointCloud) -> NormalizedCloud:
     return NormalizedCloud(PointCloud(coords=normalized, features=cloud.features))
 
 
-def canonical_tiebreak_order(coords: np.ndarray) -> np.ndarray:
-    """Stable lexicographic permutation by (x, then y, then z).
+def canonical_tiebreak_order(rows: np.ndarray) -> np.ndarray:
+    """Stable lexicographic permutation of (N, C) rows by every column in
+    order: x, then y, then z for coordinates, then any feature columns.
 
-    Points with identical coordinates keep their relative input order, so the
-    result is a pure function of the multiset of coordinates.
+    Only equal rows keep their relative input order, so the rows taken in
+    this order are a pure function of the multiset of rows (``-0.0`` and
+    ``0.0`` compare equal; ``encode`` makes every zero positive first).
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    if not np.isfinite(coords).all():
-        raise InvalidInputError("coords contain NaN or Inf")
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("coords or features contain NaN or Inf")
     # np.lexsort: last key is primary, and the sort is stable.
-    return np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+    return np.lexsort(rows.T[::-1])

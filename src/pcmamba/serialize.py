@@ -81,7 +81,7 @@ def code_func(n1, n2, width: int, mode: str = MODE_BIJECTIVE):
     return np.where(n2a % 2 == 0, n2a * width + n1a, backward)
 
 
-def cts_code(cells, grid_n: int, axis_perm=(0, 1, 2), mode: str = MODE_BIJECTIVE):
+def _cts_code(cells, grid_n: int, name: str, mode: str):
     """Snake-order code of each row of an N x 3 array of grid cells.
 
     The two-index pairing is applied twice: first on the roles (c1, c2)
@@ -92,9 +92,7 @@ def cts_code(cells, grid_n: int, axis_perm=(0, 1, 2), mode: str = MODE_BIJECTIVE
     if grid_n > MAX_GRID_CTS:
         raise ValueError(f"grid_n must be <= {MAX_GRID_CTS} for snake codes")
     cells = np.asarray(cells, dtype=np.int64)
-    p1 = cells[:, axis_perm[0]]
-    p2 = cells[:, axis_perm[1]]
-    p3 = cells[:, axis_perm[2]]
+    p1, p2, p3 = (cells[:, axis] for axis in _CTS_PERMS[name])
     inner = code_func(p1, p2, width=grid_n, mode=mode)
     outer_width = grid_n * grid_n
     if np.any(inner >= outer_width):
@@ -181,7 +179,7 @@ def order_codes(cells, grid_n: int, name: str, mode: str = MODE_BIJECTIVE) -> np
     and the Hilbert curve have one code each.
     """
     if name in _CTS_PERMS:
-        return cts_code(cells, grid_n, _CTS_PERMS[name], mode)
+        return _cts_code(cells, grid_n, name, mode)
     if name == "z":
         return morton_code(cells, grid_n)
     if name == "z-trans":

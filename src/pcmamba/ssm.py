@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericRangeError
-from .nn import rms_norm, silu, softplus, softplus_inverse
+from .nn import Params, rms_norm, silu, softplus, softplus_inverse
 
 # below this |dt * a| the ZOH input factor switches to its Taylor series
 _ZOH_SERIES_CUTOFF = 1e-6
@@ -130,8 +130,9 @@ def scan_backward(x, a_bar, b_bar, c, upstream_grad):
 
     Runs the forward recurrence to recover the states, then the reverse-time
     adjoint lambda_t = g_t * c_t + a_bar_{t+1} * lambda_{t+1} (diagonal
-    transition, so the transpose is itself). Returns a dict with gradients
-    for x, a_bar, b_bar, and c; per-step (M, S) parameter shapes required.
+    transition, so the transpose is itself) as the same recurrence over the
+    reversed sequence. Returns a dict with gradients for x, a_bar, b_bar,
+    and c; per-step (M, S) parameter shapes required.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(upstream_grad, dtype=np.float64)
@@ -146,21 +147,21 @@ def scan_backward(x, a_bar, b_bar, c, upstream_grad):
     b_bar = np.asarray(b_bar, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
 
-    states = np.empty((m, s))
-    _recur(a_bar, b_bar * x[:, None], np.zeros(s), states)
-
-    dx = np.empty(m)
-    da_bar = np.empty((m, s))
-    db_bar = np.empty((m, s))
-    dc = g[:, None] * states
-    lam = np.zeros(s)
-    for t in range(m - 1, -1, -1):
-        lam = g[t] * c[t] + (a_bar[t + 1] * lam if t + 1 < m else 0.0)
-        prev = states[t - 1] if t > 0 else np.zeros(s)
-        da_bar[t] = lam * prev
-        db_bar[t] = lam * x[t]
-        dx[t] = lam @ b_bar[t]
-    return {"x": dx, "a_bar": da_bar, "b_bar": db_bar, "c": dc}
+    # prev[t] = h_{t-1}, with h_{-1} = 0; a_next[t] = a_bar_{t+1}, with 0
+    # past the last step
+    prev = np.zeros((m + 1, s))
+    _recur(a_bar, b_bar * x[:, None], np.zeros(s), prev[1:])
+    a_next = np.zeros((m, s))
+    a_next[:-1] = a_bar[1:]
+    lam = np.empty((m, s))
+    _recur(a_next[::-1], (g[:, None] * c)[::-1], np.zeros(s), lam[::-1])
+    return {
+        # one dot product per row, as in ``scan``
+        "x": np.array([row @ b for row, b in zip(lam, b_bar)]),
+        "a_bar": lam * prev[:-1],
+        "b_bar": lam * x[:, None],
+        "c": g[:, None] * prev[1:],
+    }
 
 
 @dataclass
@@ -194,7 +195,7 @@ class LTISystem:
 
 
 @dataclass
-class SelectiveSSMLayer:
+class SelectiveSSMLayer(Params):
     """Parameters of one direction of a selective (Mamba-style) layer.
 
     The state matrix is diagonal, A = -exp(a_log), so it stays strictly
@@ -229,7 +230,7 @@ class SelectiveSSMLayer:
         return self.a_log.shape[1]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, d_model: int, state_size: int = STATE_SIZE):
+    def init(cls, rng: np.random.Generator, d_model: int):
         d_inner = d_model
         rank = max(1, d_model // 16)
 
@@ -243,32 +244,15 @@ class SelectiveSSMLayer:
             in_proj_w=uniform((2 * d_inner, d_model), d_model),
             conv_w=uniform((d_inner, CONV_WIDTH), CONV_WIDTH),
             conv_b=np.zeros(d_inner),
-            a_log=np.tile(np.log(np.arange(1, state_size + 1.0)), (d_inner, 1)),
+            a_log=np.tile(np.log(np.arange(1, STATE_SIZE + 1.0)), (d_inner, 1)),
             dt_down_w=uniform((rank, d_inner), d_inner),
             dt_up_w=uniform((d_inner, rank), rank),
             dt_bias=softplus_inverse(targets),
-            b_proj_w=uniform((state_size, d_inner), d_inner),
-            c_proj_w=uniform((state_size, d_inner), d_inner),
+            b_proj_w=uniform((STATE_SIZE, d_inner), d_inner),
+            c_proj_w=uniform((STATE_SIZE, d_inner), d_inner),
             d_skip=np.ones(d_inner),
             out_proj_w=uniform((d_model, d_inner), d_inner),
         )
-
-    def named_params(self, prefix: str):
-        for name in (
-            "norm_scale",
-            "in_proj_w",
-            "conv_w",
-            "conv_b",
-            "a_log",
-            "dt_down_w",
-            "dt_up_w",
-            "dt_bias",
-            "b_proj_w",
-            "c_proj_w",
-            "d_skip",
-            "out_proj_w",
-        ):
-            yield f"{prefix}.{name}", getattr(self, name)
 
 
 def selective_ssm(u: np.ndarray, layer: SelectiveSSMLayer):
@@ -342,14 +326,14 @@ def causal_depthwise_conv(u: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out
 
 
-def mamba_block(x: np.ndarray, layer: SelectiveSSMLayer, residual: bool = True):
-    """Gated selective-SSM block over an (M, D) sequence.
+def mamba_block(x: np.ndarray, layer: SelectiveSSMLayer):
+    """Gated selective-SSM block over an (M, D) sequence, without a residual.
 
     RMS pre-norm, in-projection split into an SSM branch and a gate branch;
     the SSM branch passes through a short causal depthwise conv and SiLU
     before the selective scan, is gated by SiLU(gate), and is projected back
-    to D. The input is added back unless ``residual`` is False (the
-    bidirectional wrapper applies the residual once itself).
+    to D. The input is not added back: ``bidirectional_mamba`` adds it once
+    for both directions.
     """
     normed = rms_norm(x, layer.norm_scale)
     u, gate = (normed @ w.T for w in np.split(layer.in_proj_w, 2))
@@ -359,10 +343,7 @@ def mamba_block(x: np.ndarray, layer: SelectiveSSMLayer, residual: bool = True):
     y = selective_ssm(u, layer)
     y *= silu(gate, out=u)
     del u, gate
-    out = y @ layer.out_proj_w.T
-    if residual:
-        out += x
-    return out
+    return y @ layer.out_proj_w.T
 
 
 def bidirectional_mamba(
@@ -371,10 +352,9 @@ def bidirectional_mamba(
     """Forward block plus a reversed block over the reversed sequence.
 
     The two directions have independent parameters and are fused by
-    summation; the residual is added once here, so the inner blocks run
-    without their own.
+    summation, and the input is added back once.
     """
-    out = mamba_block(x, fwd_layer, residual=False)
-    out += mamba_block(x[::-1], bwd_layer, residual=False)[::-1]
+    out = mamba_block(x, fwd_layer)
+    out += mamba_block(x[::-1], bwd_layer)[::-1]
     out += x
     return out

@@ -398,6 +398,7 @@ def test_verify_all_suites_pass_and_reports_identical(capsys):
     assert report["failed"] == "0"
     assert report["activations_finite_100_clouds.status"] == "pass"
     assert report["classification_permutation_invariant.status"] == "pass"
+    assert report["coincident_points_permutation_invariant.status"] == "pass"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -532,6 +533,12 @@ def test_inspect_pcm_params(capsys):
     assert code == EXIT_OK
     total = int(report["params.total"])
     assert abs(total - 34.2e6) <= 0.15 * 34.2e6
+
+
+def test_inspect_has_no_seed(capsys):
+    # inspect draws no weights, so a seed could change no output
+    assert main(["inspect", "--seed", "0"]) == EXIT_USAGE
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- probe

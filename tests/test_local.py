@@ -61,8 +61,8 @@ def _toy_setup(seed, m=7, k=4, d_in=5, d_out=6):
     rng = np.random.Generator(np.random.PCG64(seed))
     feats = rng.normal(size=(m + 5, d_in))
     hood = NeighborhoodIndex(centers=np.arange(m), neighbors=rng.integers(0, m + 5, size=(m, k)))
-    phi1 = MLPStack.init(rng, d_in, d_out, depth=1)
-    phi2 = MLPStack.init(rng, d_out, d_out, depth=1)
+    phi1 = MLPStack.init(rng, d_in, d_out)
+    phi2 = MLPStack.init(rng, d_out, d_out)
     gam = GAMParams.init(d_in)
     return feats, hood, phi1, phi2, gam
 
@@ -166,38 +166,36 @@ def _centers_per_block(k, d_in, d_out):
     return _BLOCK_ENTRIES // (k * max(d_in, d_out))
 
 
-# (m, k, d_in, d_out, depth, with_beta) and the number of center blocks each
-# case is meant to cross
+# (m, k, d_in, d_out, with_beta) and the number of center blocks each case
+# is meant to cross
 _ORACLE_CASES = [
     # entry affine, M not a block multiple
-    ((3 * _centers_per_block(4, 5, 6) + 37, 4, 5, 6, 1, True), 4),
-    # no entry, depth 2, beta = 0
-    ((4 * _centers_per_block(5, 6, 6) + 11, 5, 6, 6, 2, False), 5),
+    ((3 * _centers_per_block(4, 5, 6) + 37, 4, 5, 6, True), 4),
+    # no entry, beta = 0
+    ((4 * _centers_per_block(5, 6, 6) + 11, 5, 6, 6, False), 5),
     # K = 1, one row past whole blocks
-    ((3 * _centers_per_block(1, 4, 7) + 1, 1, 4, 7, 1, True), 4),
+    ((3 * _centers_per_block(1, 4, 7) + 1, 1, 4, 7, True), 4),
     # two blocks of nearly half size
-    ((_centers_per_block(12, 8, 8) + 1, 12, 8, 8, 1, True), 2),
+    ((_centers_per_block(12, 8, 8) + 1, 12, 8, 8, True), 2),
     # fewer centers than one block
-    ((7, 3, 5, 6, 2, True), 1),
+    ((7, 3, 5, 6, True), 1),
 ]
 
 
 def test_oracle_cases_cross_intended_blocks():
-    for (m, k, d_in, d_out, _, _), n_blocks in _ORACLE_CASES:
+    for (m, k, d_in, d_out, _), n_blocks in _ORACLE_CASES:
         assert len(_center_blocks(m, k, max(d_in, d_out))) - 1 == n_blocks
 
 
-@pytest.mark.parametrize(
-    "m, k, d_in, d_out, depth, with_beta", [case for case, _ in _ORACLE_CASES]
-)
-def test_local_aggregate_equals_one_shot_oracle(m, k, d_in, d_out, depth, with_beta):
+@pytest.mark.parametrize("m, k, d_in, d_out, with_beta", [case for case, _ in _ORACLE_CASES])
+def test_local_aggregate_equals_one_shot_oracle(m, k, d_in, d_out, with_beta):
     rng = np.random.Generator(np.random.PCG64(m * k))
     feats = rng.normal(size=(m + 5, d_in))
     hood = NeighborhoodIndex(
         centers=rng.permutation(m + 5)[:m], neighbors=rng.integers(0, m + 5, size=(m, k))
     )
-    phi1 = MLPStack.init(rng, d_in, d_out, depth=depth)
-    phi2 = MLPStack.init(rng, d_out, d_out, depth=depth)
+    phi1 = MLPStack.init(rng, d_in, d_out)
+    phi2 = MLPStack.init(rng, d_out, d_out)
     gam = GAMParams(
         alpha=rng.uniform(0.5, 2.0, size=d_in),
         beta=rng.normal(size=d_in) if with_beta else np.zeros(d_in),

@@ -9,6 +9,7 @@ import pcmamba.ssm
 from conftest import random_cloud, small_config
 from pcmamba.errors import DegenerateLabelsError, InvalidInputError
 from pcmamba.model import (
+    TASK_CLASSIFICATION,
     TASK_SEGMENTATION,
     build_model,
     count_parameters,
@@ -147,9 +148,42 @@ def test_degenerate_clouds_finite_and_shuffle_invariant(kind, n, seed):
     logits = forward_classification(_CLS_MODEL, cloud)
     assert np.isfinite(logits).all()
     assert np.isfinite(forward_segmentation(_SEG_MODEL, cloud)).all()
-    if len(np.unique(cloud.coords, axis=0)) == cloud.n_points:
-        shuffled = PointCloud(cloud.coords[rng.permutation(cloud.n_points)])
-        np.testing.assert_array_equal(forward_classification(_CLS_MODEL, shuffled), logits)
+    shuffled = PointCloud(cloud.coords[rng.permutation(cloud.n_points)])
+    np.testing.assert_array_equal(forward_classification(_CLS_MODEL, shuffled), logits)
+
+
+_FEATURE_MODELS = {
+    task: build_model(small_config(task=task, in_features=2))
+    for task in (TASK_CLASSIFICATION, TASK_SEGMENTATION)
+}
+
+
+def _forward(task, rows):
+    forward = forward_classification if task == TASK_CLASSIFICATION else forward_segmentation
+    return forward(_FEATURE_MODELS[task], PointCloud(rows[:, :3], rows[:, 3:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([TASK_CLASSIFICATION, TASK_SEGMENTATION]),
+    st.integers(_BUDGET, 64),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_coincident_points_with_features_permutation_invariant(task, n, distinct, seed):
+    # n points on at most `distinct` coordinates, each with its own feature
+    # columns, and some entries set to 0.0 or -0.0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    coords = rng.uniform(-1, 1, size=(distinct, 3))[rng.integers(0, distinct, size=n)]
+    rows = np.hstack([coords, rng.normal(size=(n, 2))])
+    zeros = rng.uniform(size=rows.shape) < 0.1
+    rows[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    perm = rng.permutation(n)
+    out, shuffled = _forward(task, rows), _forward(task, rows[perm])
+    np.testing.assert_array_equal(shuffled, out if task == TASK_CLASSIFICATION else out[perm])
+    # the sign of a zero changes no output bit
+    rows[zeros] = -rows[zeros]
+    np.testing.assert_array_equal(_forward(task, rows), out)
 
 
 def test_segmentation_zero_head_uniform():

@@ -92,6 +92,11 @@ def test_canonical_order_stability():
     np.testing.assert_array_equal(order, [0, 1])
 
 
+def test_canonical_order_sorts_feature_columns_after_coordinates():
+    rows = np.array([[1.0, 0, 0, 5.0], [0.0, 0, 0, 9.0], [0.0, 0, 0, -2.0], [1.0, 0, 0, 5.0]])
+    np.testing.assert_array_equal(canonical_tiebreak_order(rows), [2, 1, 0, 3])
+
+
 def test_canonical_order_permutation_oracle():
     rng = np.random.Generator(np.random.PCG64(1))
     coords = rng.uniform(size=(64, 3))

@@ -69,7 +69,7 @@ def test_code_func_rejects_out_of_range():
         ser.code_func(-1, 0, 4)
 
 
-# ------------------------------------------------------------------- cts_code
+# ------------------------------------------------------------- snake orders
 
 
 def test_cts_zero_cell():
@@ -78,7 +78,7 @@ def test_cts_zero_cell():
 
 
 def test_cts_bijective_enumeration_grid2():
-    codes = ser.cts_code(full_grid(2), 2, (0, 1, 2))
+    codes = ser.order_codes(full_grid(2), 2, "xyz")
     assert sorted(codes.tolist()) == list(range(8))
 
 
@@ -163,7 +163,7 @@ def test_morton_bijective_grid8():
 
 def test_grid_limits_enforced():
     with pytest.raises(ValueError):
-        ser.cts_code(np.array([[0, 0, 0]]), (1 << 20) + 1)
+        ser.order_codes(np.array([[0, 0, 0]]), (1 << 20) + 1, "xyz")
     with pytest.raises(ValueError):
         ser.morton_code(np.array([[0, 0, 0]]), (1 << 21) + 1)
     with pytest.raises(ValueError):
@@ -181,7 +181,7 @@ def test_serialize_singleton():
 def test_serialize_cell_centers_follow_snake():
     # oracle: enumerate the 8 cells, order them by direct code evaluation
     cells = full_grid(2)
-    codes = ser.cts_code(cells, 2, (0, 1, 2))
+    codes = ser.order_codes(cells, 2, "xyz")
     expected_cells = cells[np.argsort(codes)]
     centers = (cells + 0.5) / 2.0
     nc = norm_cloud(centers)

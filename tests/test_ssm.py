@@ -8,6 +8,7 @@ from pcmamba.errors import ContractViolationError, NumericRangeError
 from pcmamba.nn import rms_norm, silu, softplus
 from pcmamba.ssm import (
     CONV_WIDTH,
+    STATE_SIZE,
     LTISystem,
     SelectiveSSMLayer,
     bidirectional_mamba,
@@ -240,7 +241,7 @@ def test_backward_single_step_by_hand():
 
 def test_selective_zero_projections_is_skip():
     rng = rng_for(5)
-    layer = SelectiveSSMLayer.init(rng, 8, state_size=4)
+    layer = SelectiveSSMLayer.init(rng, 8)
     layer.b_proj_w[:] = 0.0
     layer.c_proj_w[:] = 0.0
     layer.d_skip[:] = 1.0
@@ -250,7 +251,7 @@ def test_selective_zero_projections_is_skip():
 
 def test_selective_steady_state_constant_input():
     rng = rng_for(0)
-    layer = SelectiveSSMLayer.init(rng, 16, state_size=8)
+    layer = SelectiveSSMLayer.init(rng, 16)
     token = rng.normal(0.0, 0.5, size=16)
     x = np.tile(token, (512, 1))
     y = selective_ssm(x, layer)
@@ -259,8 +260,8 @@ def test_selective_steady_state_constant_input():
 
 def test_selective_matches_per_token_loop():
     rng = rng_for(6)
-    d, s, m = 5, 3, 24
-    layer = SelectiveSSMLayer.init(rng, d, state_size=s)
+    d, s, m = 5, STATE_SIZE, 24
+    layer = SelectiveSSMLayer.init(rng, d)
     x = rng.normal(size=(m, d))
     got = selective_ssm(x, layer)
     # naive per-token reference, one channel at a time
@@ -306,11 +307,18 @@ def selective_reference(u, layer):
     return y + layer.d_skip * u
 
 
+def _first_states(layer, s):
+    """The layer cut to its first s states; ``selective_ssm`` reads the
+    state size from the layer's arrays."""
+    cut = {"a_log": layer.a_log[:, :s], "b_proj_w": layer.b_proj_w[:s]}
+    return SelectiveSSMLayer(**{**vars(layer), **cut, "c_proj_w": layer.c_proj_w[:s]})
+
+
 # (D, S, M): 600 rows at D=64, S=16 are segments of 256, 256 and 88 rows
-@pytest.mark.parametrize("d,s,m", [(64, 16, 600), (5, 3, 24), (8, 4, 1)])
+@pytest.mark.parametrize("d,s,m", [(64, STATE_SIZE, 600), (5, 3, 24), (8, 4, 1)])
 def test_selective_matches_segment_loop(d, s, m):
     rng = rng_for(7)
-    layer = SelectiveSSMLayer.init(rng, d, state_size=s)
+    layer = _first_states(SelectiveSSMLayer.init(rng, d), s)
     u = rng.normal(size=(m, d))
     # the (S, Di) state, the readout at each step and the softplus form
     # change the rounding only
@@ -322,11 +330,13 @@ def test_selective_matches_segment_loop(d, s, m):
 
 
 def test_block_zero_out_proj_is_identity():
+    # the block adds nothing to the residual stream that bidirectional_mamba
+    # carries (test_bidirectional_zero_out_proj_identity): its output is zero
     rng = rng_for(8)
     layer = SelectiveSSMLayer.init(rng, 12)
     layer.out_proj_w[:] = 0.0
     x = rng.normal(size=(17, 12))
-    np.testing.assert_array_equal(mamba_block(x, layer), x)
+    np.testing.assert_array_equal(mamba_block(x, layer), np.zeros_like(x))
 
 
 def test_block_single_token_conv_padding():
@@ -397,15 +407,14 @@ def _conv_padded(u, w, b):
     return out + b
 
 
-def _block_out_of_place(x, layer, residual=True):
+def _block_out_of_place(x, layer):
     h = rms_norm(x, layer.norm_scale)
     proj = h @ layer.in_proj_w.T
     d_inner = layer.d_inner
     u, gate = proj[:, :d_inner], proj[:, d_inner:]
     u = silu(_conv_padded(u, layer.conv_w, layer.conv_b))
     y = selective_ssm(u, layer) * silu(gate)
-    out = y @ layer.out_proj_w.T
-    return x + out if residual else out
+    return y @ layer.out_proj_w.T
 
 
 def _layer_snapshot(layer):
@@ -441,16 +450,14 @@ def test_selective_skip_term_bit_exact():
     np.testing.assert_array_equal(u, keep)
 
 
-@pytest.mark.parametrize("residual", [True, False])
 @pytest.mark.parametrize("m", [2, 41])
-def test_block_matches_out_of_place_bit_exact(residual, m):
+def test_block_matches_out_of_place_bit_exact(m):
     rng = rng_for(18)
     layer = SelectiveSSMLayer.init(rng, 12)
     outer = rng.normal(size=(2 * m, 12))
     x = outer[::-2]  # a reversed, strided caller view
     keep, snapshot = outer.copy(), _layer_snapshot(layer)
-    got = mamba_block(x, layer, residual=residual)
-    np.testing.assert_array_equal(got, _block_out_of_place(x, layer, residual=residual))
+    np.testing.assert_array_equal(mamba_block(x, layer), _block_out_of_place(x, layer))
     np.testing.assert_array_equal(outer, keep)
     _assert_layer_unchanged(layer, snapshot)
 
@@ -461,8 +468,8 @@ def test_bidirectional_matches_out_of_place_bit_exact():
     outer = rng.normal(size=(60, 14))
     x = outer[5:35, 1:13]  # a caller view inside a larger array
     keep, snapshots = outer.copy(), (_layer_snapshot(fwd), _layer_snapshot(bwd))
-    f = _block_out_of_place(x, fwd, residual=False)
-    b = _block_out_of_place(x[::-1], bwd, residual=False)[::-1]
+    f = _block_out_of_place(x, fwd)
+    b = _block_out_of_place(x[::-1], bwd)[::-1]
     np.testing.assert_array_equal(bidirectional_mamba(x, fwd, bwd), x + (f + b))
     np.testing.assert_array_equal(outer, keep)
     for layer, snapshot in zip((fwd, bwd), snapshots):
@@ -470,5 +477,5 @@ def test_bidirectional_matches_out_of_place_bit_exact():
 
 
 def test_a_matrix_strictly_negative():
-    layer = SelectiveSSMLayer.init(rng_for(15), 8, state_size=16)
+    layer = SelectiveSSMLayer.init(rng_for(15), 8)
     assert np.all(-np.exp(layer.a_log) < 0.0)
