@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     UndefinedMetricError,
 )
-from .io import generate_shape, load_weights, read_xyz
+from .io import SHAPE_KINDS, generate_shape, load_weights, read_xyz
 from .model import (
     _PRESETS,
     PUBLISHED_SIZES,
@@ -51,7 +51,6 @@ from .model import (
     StageConfig,
     _unfilled_model,
     build_model,
-    count_parameters,
     encode,
     estimate_flops,
     forward_classification,
@@ -309,8 +308,9 @@ def fit_exponent(lengths, times) -> float:
     return float(slope)
 
 
-def run_bench(lengths, channels=64, repeat=3, baseline="attention", seed=0):
-    """Median wall times per sequence length plus fitted log-log exponents.
+def run_bench(lengths, channels=64, repeat=3, seed=0):
+    """Median wall times per sequence length plus fitted log-log exponents,
+    for the Mamba block and for the quadratic attention baseline.
 
     Repetitions are interleaved across lengths (round robin) so slow drift
     in machine load biases every length equally rather than skewing the
@@ -324,16 +324,15 @@ def run_bench(lengths, channels=64, repeat=3, baseline="attention", seed=0):
         (("ssm", m), lambda m=m: mamba_block(sequences[m], layer), max(1, longest // m))
         for m in lengths
     ]
-    if baseline == "attention":
-        # quadratic kernel: inner count scales with (longest/m)^2
-        jobs += [
-            (
-                ("attention_baseline", m),
-                lambda m=m: _attention_baseline(sequences[m]),
-                max(1, (longest // m) ** 2),
-            )
-            for m in lengths
-        ]
+    # quadratic kernel: inner count scales with (longest/m)^2
+    jobs += [
+        (
+            ("attention_baseline", m),
+            lambda m=m: _attention_baseline(sequences[m]),
+            max(1, (longest // m) ** 2),
+        )
+        for m in lengths
+    ]
     for _, fn, _ in jobs:  # warm-up pass: first-touch allocations, code paths
         fn()
     timed = _time_round_robin(jobs, repeat)
@@ -343,16 +342,13 @@ def run_bench(lengths, channels=64, repeat=3, baseline="attention", seed=0):
     for kernel in ("ssm", "attention_baseline"):
         medians = []
         for m in lengths:
-            if (kernel, m) not in timed:
-                continue
             tmin, tmed = timed[(kernel, m)]
             rows.append(
                 {"n_points": m, "kernel": kernel, "time_min_s": tmin, "time_median_s": tmed}
             )
             medians.append(tmed)
-        if medians:
-            exponents[kernel] = fit_exponent(lengths, medians)
-            ratios[kernel] = medians[-1] / medians[0]
+        exponents[kernel] = fit_exponent(lengths, medians)
+        ratios[kernel] = medians[-1] / medians[0]
     return rows, exponents, ratios
 
 
@@ -361,18 +357,9 @@ def cmd_bench(args) -> int:
     if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise UsageError("--lengths must be at least two strictly increasing integers")
     rows, exponents, ratios = run_bench(
-        lengths,
-        channels=args.channels,
-        repeat=args.repeat,
-        baseline=args.baseline,
-        seed=args.seed,
+        lengths, channels=args.channels, repeat=args.repeat, seed=args.seed
     )
-    lines = [
-        f"channels={args.channels}",
-        f"repeat={args.repeat}",
-        f"baseline={args.baseline}",
-        "",
-    ]
+    lines = [f"channels={args.channels}", f"repeat={args.repeat}", ""]
     for kernel, exp in exponents.items():
         lines.append(f"exponent.{kernel}={_fmt(exp)}")
     for kernel, ratio in ratios.items():
@@ -396,7 +383,10 @@ def cmd_bench(args) -> int:
 def cmd_inspect(args) -> int:
     config = _resolve_config(args.config, TASK_CLASSIFICATION, 15)
     model = _unfilled_model(config)  # counts and MACs read no parameter value
-    groups = count_parameters(model, per_module=True)
+    groups: dict[str, int] = {}
+    for name, arr in model.named_params():
+        top = name.split(".")[0]
+        groups[top] = groups.get(top, 0) + int(arr.size)
     total = sum(groups.values())
     lines = [f"config={args.config}"]
     for name in sorted(groups):
@@ -420,8 +410,6 @@ def cmd_inspect(args) -> int:
 
 def make_probe_corpus(classes=3, per_class=100, n=1024, seed=0):
     """Seeded sphere/cube/torus(/plane) clouds, Gaussian jitter 0.02, with class labels."""
-    from .io import SHAPE_KINDS
-
     if not 2 <= classes <= len(SHAPE_KINDS):
         raise UsageError(f"--classes must be in [2, {len(SHAPE_KINDS)}]")
     clouds, labels = [], []
@@ -535,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", type=_positive_ints, default="1024,2048,4096,8192")
     p.add_argument("--channels", type=_positive_int, default=64)
     p.add_argument("--repeat", type=_positive_int, default=3)
-    p.add_argument("--baseline", choices=("none", "attention"), default="attention")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_bench)

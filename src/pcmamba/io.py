@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, ParseError
+from .model import _unfilled_model
 from .pointset import PointCloud
 
 MAGIC = b"PCMW"
@@ -225,8 +226,6 @@ def load_weights(path, config):
     tensor holding NaN or Inf; on error no model is returned (no
     partially-loaded state escapes).
     """
-    from .model import _unfilled_model
-
     model = _unfilled_model(config)
     params = dict(model.named_params())
     with open(path, "rb") as fh:

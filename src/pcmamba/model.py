@@ -11,10 +11,16 @@ reordered canonically on entry (and segmentation outputs mapped back), so
 permuting an input cloud cannot change a single bit of the output. One
 seeded 64-bit PCG64 generator, consumed in a fixed build order, drives every
 parameter initialization.
+
+Each step (the stem, a stage's local aggregation, one Mamba layer, the
+classification head, the segmentation decoder) runs under ``_numeric_step``:
+a value that overflows or turns invalid raises a NumericRangeError naming
+the step instead of running on into the output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -281,6 +287,18 @@ def _subsample(coords: np.ndarray, budget: int) -> np.ndarray:
     return np.sort(farthest_point_sample(coords, budget))
 
 
+@contextlib.contextmanager
+def _numeric_step(step: str, note: str = ""):
+    """Run the block under ``np.errstate(over="raise", invalid="raise")``;
+    re-raise a FloatingPointError or NumericRangeError from it as a
+    NumericRangeError that names ``step``, with ``note`` appended."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except (FloatingPointError, NumericRangeError) as exc:
+            raise NumericRangeError(f"out of range in {step}: {exc}{note}") from exc
+
+
 def encode(model: Model, cloud: PointCloud) -> EncodeResult:
     """Run the four-stage encoder; see the module docstring for the pipeline.
 
@@ -309,33 +327,30 @@ def encode(model: Model, cloud: PointCloud) -> EncodeResult:
     keep = _subsample(full_coords, cfg.stages[0].points)
     coords = full_coords[keep]
     stem_in = np.hstack([coords, rows[keep, 3:]])
-    # coordinates are normalized, so only feature columns (or weights) this
-    # large overflow; report it rather than run inf on into the output
+    # coordinates are normalized, so only feature columns or weights can
+    # overflow; an encoder step's error reports the largest feature column
+    note = f"; the largest |feature column| is {np.abs(stem_in[:, 3:]).max(initial=0.0):.3g}"
     stage_coords, stage_feats = [], []
-    with np.errstate(over="raise"):
-        try:
-            feats = model.stem(stem_in)
-            for l, (sc, stage) in enumerate(zip(cfg.stages, model.stages)):
-                centers = _subsample(coords, sc.points)
-                k = min(sc.k_neighbors, len(coords))
-                hood = NeighborhoodIndex(centers, knn(coords[centers], coords, k).neighbors)
-                feats = local_aggregate(feats, hood, stage.phi1, stage.phi2, stage.gam)
-                coords = coords[centers]
-                for name, (fwd, bwd) in zip(sc.serializations, stage.layers):
-                    perm = serialize(NormalizedCloud(PointCloud(coords)), name, cfg.grid_n)
-                    seq = feats[perm] + positional_embed(coords[perm], model.pos_maps[l])
-                    seq = attach_prompts(seq, name, model.prompt_bank, l)
-                    seq = bidirectional_mamba(seq, fwd, bwd)
-                    seq = strip_prompts(seq, cfg.n_p)
-                    feats = np.empty_like(seq)
-                    feats[perm] = seq
-                stage_coords.append(coords)
-                stage_feats.append(feats)
-        except FloatingPointError as exc:
-            largest = np.abs(stem_in[:, 3:]).max(initial=0.0)
-            raise NumericRangeError(
-                f"overflow in encode ({exc}); the largest |feature column| is {largest:.3g}"
-            ) from exc
+    with _numeric_step("stem", note):
+        feats = model.stem(stem_in)
+    for l, (sc, stage) in enumerate(zip(cfg.stages, model.stages)):
+        with _numeric_step(f"stage {l} local aggregation", note):
+            centers = _subsample(coords, sc.points)
+            k = min(sc.k_neighbors, len(coords))
+            hood = NeighborhoodIndex(centers, knn(coords[centers], coords, k).neighbors)
+            feats = local_aggregate(feats, hood, stage.phi1, stage.phi2, stage.gam)
+        coords = coords[centers]
+        for j, (name, (fwd, bwd)) in enumerate(zip(sc.serializations, stage.layers)):
+            with _numeric_step(f"stage {l} layer {j} ({name})", note):
+                perm = serialize(NormalizedCloud(PointCloud(coords)), name, cfg.grid_n)
+                seq = feats[perm] + positional_embed(coords[perm], model.pos_maps[l])
+                seq = attach_prompts(seq, name, model.prompt_bank, l)
+                seq = bidirectional_mamba(seq, fwd, bwd)
+                seq = strip_prompts(seq, cfg.n_p)
+                feats = np.empty_like(seq)
+                feats[perm] = seq
+        stage_coords.append(coords)
+        stage_feats.append(feats)
 
     return EncodeResult(
         pooled=stage_feats[-1].max(axis=0),
@@ -352,7 +367,8 @@ def forward_classification(model: Model, cloud: PointCloud) -> np.ndarray:
         raise ConfigurationError("model was built for segmentation, not classification")
     enc = encode(model, cloud)
     hidden, logits = model.head
-    return logits(silu(hidden(enc.pooled)))
+    with _numeric_step("classification head"):
+        return logits(silu(hidden(enc.pooled)))
 
 
 def forward_segmentation(model: Model, cloud: PointCloud) -> np.ndarray:
@@ -368,25 +384,20 @@ def forward_segmentation(model: Model, cloud: PointCloud) -> np.ndarray:
         raise ConfigurationError("model was built for classification, not segmentation")
     enc = encode(model, cloud)
     f = enc.stage_feats[3]
-    for (t1, t2), lvl in zip(model.decoder.transforms, (2, 1, 0)):
-        up = interpolate_features(enc.stage_coords[lvl], enc.stage_coords[lvl + 1], f)
-        f = t2(silu(t1(np.hstack([up, enc.stage_feats[lvl]]))))
-    logits = model.decoder.classifier(f)
-    logits_canon = interpolate_features(enc.full_coords, enc.stage_coords[0], logits)
+    with _numeric_step("segmentation decoder"):
+        for (t1, t2), lvl in zip(model.decoder.transforms, (2, 1, 0)):
+            up = interpolate_features(enc.stage_coords[lvl], enc.stage_coords[lvl + 1], f)
+            f = t2(silu(t1(np.hstack([up, enc.stage_feats[lvl]]))))
+        logits = model.decoder.classifier(f)
+        logits_canon = interpolate_features(enc.full_coords, enc.stage_coords[0], logits)
     out = np.empty_like(logits_canon)
     out[enc.canonical_perm] = logits_canon
     return out
 
 
-def count_parameters(model: Model, per_module: bool = False):
-    """Exact scalar parameter count; optionally broken down by top-level module."""
-    if not per_module:
-        return sum(int(arr.size) for _, arr in model.named_params())
-    groups: dict[str, int] = {}
-    for name, arr in model.named_params():
-        top = name.split(".")[0]
-        groups[top] = groups.get(top, 0) + int(arr.size)
-    return groups
+def count_parameters(model: Model) -> int:
+    """Exact scalar parameter count."""
+    return sum(int(arr.size) for _, arr in model.named_params())
 
 
 def _weights(module, suffix: str = ".w") -> int:
@@ -442,6 +453,11 @@ def estimate_flops(model: Model, n_points: int) -> int:
     return int(total)
 
 
+# Gradient steps and step size of the linear probe.
+PROBE_EPOCHS = 300
+PROBE_LR = 0.5
+
+
 @dataclass
 class ProbeResult:
     weights: np.ndarray  # (C, D)
@@ -466,14 +482,9 @@ def softmax_xent_grad(weights, bias, features, labels):
     return loss, delta.T @ features, delta.sum(axis=0)
 
 
-def train_linear_probe(
-    features: np.ndarray,
-    labels: np.ndarray,
-    epochs: int = 300,
-    lr: float = 0.5,
-    seed: int = 0,
-) -> ProbeResult:
-    """Full-batch gradient-descent softmax regression on frozen features."""
+def train_linear_probe(features: np.ndarray, labels: np.ndarray, seed: int = 0) -> ProbeResult:
+    """Full-batch gradient-descent softmax regression on frozen features:
+    ``PROBE_EPOCHS`` steps of size ``PROBE_LR`` from a seeded start."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
@@ -483,10 +494,10 @@ def train_linear_probe(
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = rng.normal(0.0, 0.01, size=(n_classes, features.shape[1]))
     bias = np.zeros(n_classes)
-    for _ in range(epochs):
+    for _ in range(PROBE_EPOCHS):
         _, gw, gb = softmax_xent_grad(weights, bias, features, labels)
-        weights -= lr * gw
-        bias -= lr * gb
+        weights -= PROBE_LR * gw
+        bias -= PROBE_LR * gb
     preds = np.argmax(features @ weights.T + bias, axis=1)
     return ProbeResult(
         weights=weights, bias=bias, train_accuracy=float((preds == labels).mean())

@@ -40,10 +40,6 @@ class NeighborhoodIndex:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "neighbors", neighbors)
 
-    @property
-    def k(self) -> int:
-        return self.neighbors.shape[1]
-
 
 def _coords_of(coords) -> np.ndarray:
     return np.ascontiguousarray(coords, dtype=np.float64)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .pointset import NormalizedCloud, PointCloud
+from .sample import knn
 
 MODE_PAPER = "paper_literal"
 MODE_BIJECTIVE = "bijective"
@@ -229,8 +230,6 @@ def locality_metrics(cloud: PointCloud, perms, window: int = 8) -> list:
     excluded). The neighbor table is computed once and shared by all
     permutations.
     """
-    from .sample import knn  # local import; sample does not import serialize
-
     coords = cloud.coords
     n = len(coords)
     if n < 2:

@@ -351,6 +351,35 @@ def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "task, tensor, step",
+    [
+        ("cls", "head.hidden.w", "classification head"),
+        ("seg", "decoder.level0.t1.w", "segmentation decoder"),
+        ("cls", "stage1.layer0.fwd.dt_bias", "stage 1 layer 0 (xzy)"),
+    ],
+)
+def test_forward_overflowing_weight_exits_3_naming_step(
+    capsys, tmp_path, config_file, task, tensor, step
+):
+    from pcmamba.io import save_weights
+    from pcmamba.model import build_model
+
+    task_name, classes = ("classification", 15) if task == "cls" else ("part_segmentation", 50)
+    model = build_model(config_from_file(config_file, task_name, classes))
+    dict(model.named_params())[tensor][...] = 1e308
+    weights = tmp_path / "overflow.pcmw"
+    save_weights(model, weights)
+    code = main(
+        ["forward", "--config", config_file, "--task", task, "--gen", "sphere",
+         "--n", "64", "--weights", str(weights)]
+    )
+    out, err = capsys.readouterr()
+    assert code == EXIT_IO
+    assert err.startswith("error:") and "overflow" in err and step in err
+    assert "Traceback" not in err and "nan" not in out
+
+
 def test_forward_nan_weights_exits_3(capsys, tmp_path, config_file):
     from pcmamba.io import save_weights
     from pcmamba.model import build_model
@@ -464,7 +493,7 @@ def test_verify_serialization_suite(capsys):
 def test_bench_report_contract(capsys):
     code, out = run(
         capsys, "bench", "--lengths", "128,256,512", "--channels", "16",
-        "--repeat", "3", "--baseline", "attention",
+        "--repeat", "3",
     )
     report = parse_report(out)
     assert code == EXIT_OK
@@ -475,14 +504,10 @@ def test_bench_report_contract(capsys):
     assert out.count(",ssm,") == 3 and out.count(",attention_baseline,") == 3
 
 
-def test_bench_baseline_none(capsys):
-    code, out = run(
-        capsys, "bench", "--lengths", "128,256", "--channels", "8",
-        "--repeat", "2", "--baseline", "none",
-    )
-    assert code == EXIT_OK
-    assert "exponent.ssm" in out
-    assert "attention_baseline" not in out
+def test_bench_has_no_baseline_option(capsys):
+    # the attention baseline always runs
+    code, _ = run(capsys, "bench", "--lengths", "128,256", "--baseline", "none")
+    assert code == EXIT_USAGE
 
 
 def test_bench_rejects_non_increasing_lengths(capsys):

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcmamba.io
 from pcmamba.errors import FormatError, InvalidInputError, ParseError
 from pcmamba.io import (
     generate_shape,
@@ -15,7 +20,7 @@ from pcmamba.io import (
     write_xyz,
 )
 from conftest import small_config
-from pcmamba.model import build_model
+from pcmamba.model import TASK_SEGMENTATION, ModelConfig, StageConfig, build_model
 from pcmamba.pointset import PointCloud
 
 
@@ -150,6 +155,54 @@ def test_weights_roundtrip_byte_identical(tmp_path):
     save_weights(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     for (n1, a1), (n2, a2) in zip(model.named_params(), loaded.named_params()):
+        assert n1 == n2
+        np.testing.assert_array_equal(a1, a2)
+
+
+def test_segmentation_weights_roundtrip_byte_identical(tmp_path):
+    model = build_model(small_config(task=TASK_SEGMENTATION, seed=5))
+    p1, p2 = tmp_path / "a.pcmw", tmp_path / "b.pcmw"
+    save_weights(model, p1)
+    save_weights(load_weights(p1, small_config(task=TASK_SEGMENTATION, seed=99)), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_segmentation_archive_rejected_by_classification_config(tmp_path):
+    path = tmp_path / "seg.pcmw"
+    save_weights(build_model(small_config(task=TASK_SEGMENTATION)), path)
+    with pytest.raises(FormatError) as err:
+        load_weights(path, small_config())
+    assert "unexpected tensor 'decoder." in str(err.value)
+    assert "missing tensor 'head." in str(err.value)
+
+
+def test_package_import_alone_saves_weights(tmp_path):
+    # the benchmark's archive path: `import pcmamba` alone, then the
+    # submodules as its attributes; the package re-exports no function
+    code = """
+import sys, types
+import pcmamba
+
+m = pcmamba.model
+stages = tuple(m.StageConfig(8, ("xyz",), points, 4) for points in (32, 16, 8, 4))
+pcmamba.io.save_weights(m.build_model(m.ModelConfig(stages=stages)), sys.argv[1])
+assert not hasattr(pcmamba, "knn")
+public = {k: v for k, v in vars(pcmamba).items() if not k.startswith("_")}
+assert all(isinstance(v, types.ModuleType) for v in public.values()), sorted(public)
+"""
+    path = tmp_path / "w.pcmw"
+    src = Path(pcmamba.io.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    config = ModelConfig(stages=tuple(StageConfig(8, ("xyz",), p, 4) for p in (32, 16, 8, 4)))
+    for (n1, a1), (n2, a2) in zip(
+        load_weights(path, config).named_params(), build_model(config).named_params()
+    ):
         assert n1 == n2
         np.testing.assert_array_equal(a1, a2)
 
