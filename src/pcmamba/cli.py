@@ -15,8 +15,9 @@ fields are exactly those of ``StageConfig`` and ``ModelConfig`` less
 verification failure, 2 usage or configuration error (a config JSON with a
 missing, unknown, mistyped or non-positive field, or an unknown
 serialization name), 3 I/O, format or numeric-range error (an xyz file
-that is not UTF-8 text, feature columns or weights that overflow a
-computation); ``EXIT_CODES`` maps each error class to its code.
+that is not UTF-8 text, coordinates whose extent exceeds the float64
+range, feature columns or weights that overflow a computation);
+``EXIT_CODES`` maps each error class to its code.
 """
 
 from __future__ import annotations

@@ -3,17 +3,24 @@
 The text format is one point per line ("x y z [extra feature columns]"),
 '#' comments skipped, written back with 17 significant digits so a
 write/read round trip is exact. Weight archives are little-endian
-regardless of platform: magic "PCMW", u32 version, u32 tensor count, then
-per tensor a u16 name length, UTF-8 name, u8 dtype code (0 = f32, 1 = f64),
-u8 rank, u64 dims, and the raw data.
+regardless of platform: magic "PCMW", u32 version (2), u32 tensor count,
+then per tensor a u16 name length, UTF-8 name, u8 dtype code (0 = f32,
+1 = f64), u8 rank, u64 dims, zero bytes up to the next multiple of 64 in
+the file, and the raw data. ``load_weights`` maps the file copy-on-write
+and the model's arrays view its payloads, so loading copies no float64
+weight and no write to an array reaches the file. ``save_weights`` writes
+a sibling file and renames it over the target, so an archive that a loaded
+model maps is replaced, never truncated under the mapping.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -22,7 +29,8 @@ from .model import _unfilled_model
 from .pointset import PointCloud
 
 MAGIC = b"PCMW"
-VERSION = 1
+VERSION = 2
+_ALIGN = 64  # every payload starts at a multiple of this many bytes
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR_KIND = {"f4": 0, "f8": 1}
 _MAX_RANK = 32  # the most dims a NumPy array can have (NumPy 1.x)
@@ -131,28 +139,40 @@ def generate_shape(kind: str, n: int, noise_sigma: float = 0.0, seed: int = 0) -
 
 
 def save_weights(model, path) -> None:
-    """Serialize every named tensor of the model to a weight archive."""
+    """Serialize every named tensor of the model to a weight archive.
+
+    The archive is written to a sibling ``.tmp`` file that then replaces
+    ``path``; on any error the temporary file is removed and an archive
+    already at ``path`` is left as it was.
+    """
     tensors = list(model.named_params())
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(tensors)))
-        for name, arr in tensors:
-            data = np.ascontiguousarray(arr)
-            kind = data.dtype.str.lstrip("<>=|")
-            if kind not in _CODE_FOR_KIND:
-                raise FormatError(f"tensor {name!r} has unsupported dtype {data.dtype}")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<BB", _CODE_FOR_KIND[kind], data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(data.astype(data.dtype.newbyteorder("<"), copy=False).tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(tensors)))
+            for name, arr in tensors:
+                data = np.ascontiguousarray(arr)
+                kind = data.dtype.str.lstrip("<>=|")
+                if kind not in _CODE_FOR_KIND:
+                    raise FormatError(f"tensor {name!r} has unsupported dtype {data.dtype}")
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<BB", _CODE_FOR_KIND[kind], data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+                fh.write(bytes(-fh.tell() % _ALIGN))
+                fh.write(data.astype(data.dtype.newbyteorder("<"), copy=False).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _read_exact(fh, count, what):
     data = fh.read(count)
     if len(data) != count:
-        raise FormatError(f"truncated archive while reading {what}")
+        raise FormatError(f"{fh.name}: truncated archive while reading {what}")
     return data
 
 
@@ -184,6 +204,8 @@ def _scan_archive(fh, path) -> dict:
         if rank > _MAX_RANK:
             raise FormatError(f"{path}: tensor {name!r} has rank {rank}, more than {_MAX_RANK}")
         dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
+        if any(_read_exact(fh, -fh.tell() % _ALIGN, "padding")):
+            raise FormatError(f"{path}: tensor {name!r} has nonzero padding")
         dtype = _DTYPE_CODES[code]
         nbytes = math.prod(dims) * dtype.itemsize
         left = size - fh.tell()
@@ -203,26 +225,39 @@ def _scan_archive(fh, path) -> dict:
     return layout
 
 
-def _read_tensor(fh, path, name, dtype, offset, out):
-    """Read a payload into ``out`` (converting to its dtype) and check it is finite."""
-    fh.seek(offset)
-    buf = out if out.dtype == dtype and out.flags.c_contiguous else np.empty(out.shape, dtype)
-    if fh.readinto(buf.reshape(-1).view(np.uint8)) != buf.nbytes:
-        raise FormatError(f"{path}: truncated archive while reading tensor {name!r}")
-    if buf is not out:
-        out[...] = buf
-    if not np.isfinite(out).all():
-        raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf")
-    return out
+def _rebind(node, new):
+    """``node`` with each array ``a`` whose ``id(a)`` is a key of ``new``
+    replaced by ``new[id(a)]``, at any depth of dataclass fields, lists,
+    tuples and dicts. Containers change in place, except a tuple, which is
+    rebuilt when one of its items changed."""
+    if isinstance(node, np.ndarray):
+        return new.get(id(node), node)
+    if isinstance(node, tuple):
+        items = tuple(_rebind(v, new) for v in node)
+        return node if all(a is b for a, b in zip(items, node)) else items
+    if isinstance(node, list):
+        node[:] = [_rebind(v, new) for v in node]
+    elif isinstance(node, dict):
+        node.update({k: _rebind(v, new) for k, v in node.items()})
+    elif is_dataclass(node):
+        for f in fields(node):
+            value = getattr(node, f.name)
+            if (swapped := _rebind(value, new)) is not value:
+                setattr(node, f.name, swapped)
+    return node
 
 
 def load_weights(path, config):
-    """Build a model for ``config`` and fill it from the archive at ``path``.
+    """Build a model for ``config`` whose parameters view the archive at ``path``.
 
     Names and shapes are checked against the archive's headers before any
-    payload is read; each payload is then read straight into the model's
-    own array, which was allocated without drawing random numbers. Name or
-    shape mismatches raise a FormatError listing every offender, as does a
+    payload is touched. The file is then mapped copy-on-write: each
+    parameter of a model built without drawing random numbers is replaced
+    by an array over its payload (a float32 payload is converted to a new
+    float64 array), so nothing is copied, the arrays stay writeable, and no
+    write reaches the file. Every tensor is checked to be finite, which also
+    pages the weights in before the first forward pass. Name or shape
+    mismatches raise a FormatError listing every offender, as does a
     tensor holding NaN or Inf; on error no model is returned (no
     partially-loaded state escapes).
     """
@@ -245,7 +280,14 @@ def load_weights(path, config):
                 f"{path}: archive does not match the model configuration: "
                 + "; ".join(problems)
             )
-        for name, arr in params.items():
-            dtype, _, offset = layout[name]
-            _read_tensor(fh, path, name, dtype, offset, arr)
-    return model
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    loaded = {}
+    for name, arr in params.items():
+        dtype, dims, offset = layout[name]
+        tensor = np.ndarray(dims, dtype, buffer=mapping, offset=offset)
+        if tensor.dtype != arr.dtype:
+            tensor = tensor.astype(arr.dtype)
+        if not np.isfinite(tensor).all():
+            raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf")
+        loaded[id(arr)] = tensor
+    return _rebind(model, loaded)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericRangeError
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,19 @@ def normalize_unit_cube(cloud: PointCloud) -> NormalizedCloud:
     A single scale (the largest axis extent) is used for all three axes so
     that axis-permuted serialization variants see undistorted geometry. An
     axis with zero extent maps to 0.5; a fully degenerate cloud (single
-    point or coincident points) uses scale 1 by convention.
+    point or coincident points) uses scale 1 by convention. Finite
+    coordinates whose extent exceeds the float64 range raise a
+    NumericRangeError.
     """
     coords = cloud.coords
-    lo = coords.min(axis=0)
-    extent = coords.max(axis=0) - lo
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    with np.errstate(over="ignore"):
+        extent = hi - lo
+    if not np.isfinite(extent).all():
+        raise NumericRangeError(
+            f"coordinate extent {extent.tolist()} (from min {lo.tolist()} to "
+            f"max {hi.tolist()}) exceeds the float64 range"
+        )
     scale = float(extent.max())
     if scale <= 0.0:
         scale = 1.0

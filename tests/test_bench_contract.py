@@ -4,12 +4,17 @@
 and reads their arguments, for example ``args[0].cloud.n_points`` of
 ``serialize``. This test loads the tracer as it is and sends one request of
 each workload kind through it on a small model, so that a signature change
-fails here rather than in a traced benchmark run.
+fails here rather than in a traced benchmark run. A second test runs the
+worker's archive path, ``--make-archive`` then ``--setup-only --archive``.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pcmamba.cli
@@ -62,3 +67,30 @@ def test_traced_requests_equal_untraced_and_count_work():
         "sample.knn.calls",
     ):
         assert metrics[name] > 0, name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _worker(*args):
+    """The benchmark's worker as ``perfbench/run.py`` starts it; its last line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_worker_builds_and_loads_an_archive(tmp_path):
+    archive = tmp_path / "seg-tiny.pcmw"
+    made = _worker("--workload", "seg-tiny-8192", "--make-archive", str(archive))
+    assert made == {"archive": str(archive)}
+    assert [p.name for p in tmp_path.iterdir()] == [archive.name]
+    setup = _worker("--workload", "seg-tiny-8192", "--setup-only", "--archive", str(archive))
+    assert isinstance(setup["setup_s"], float) and setup["setup_s"] > 0
+    assert Path(setup["program"]).is_relative_to(ROOT / "src")

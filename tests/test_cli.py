@@ -3,18 +3,19 @@ import inspect
 import io
 import json
 import re
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_config
 from pcmamba.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, config_from_file, main
 from pcmamba.io import generate_shape, write_xyz
-from pcmamba.model import TASK_CLASSIFICATION, ModelConfig, StageConfig
+from pcmamba.model import TASK_CLASSIFICATION, TASK_SEGMENTATION, ModelConfig, StageConfig
 from pcmamba.pointset import PointCloud
 from pcmamba.serialize import ORDER_NAMES
 
@@ -331,6 +332,20 @@ def test_forward_overflowing_feature_column_exits_3(capsys, tmp_path, scale, exp
         assert err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["forward", "serialize"])
+def test_coordinate_extent_beyond_float_range_exits_3(capsys, tmp_path, config_file, command):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "huge.xyz"
+    write_xyz(PointCloud(rng.uniform(-1.0, 1.0, size=(200, 3)) * 1e308), path)
+    config = ["--config", config_file] if command == "forward" else []
+    code = main([command, *config, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("error: coordinate extent [inf, inf, inf]")
+    assert "float64 range" in err and "NaN" not in err
+
+
 def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
     from pcmamba.io import save_weights
     from pcmamba.model import build_model
@@ -582,3 +597,114 @@ def test_probe_runs_small(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["serialize", "--mode", "bogus"]) == EXIT_USAGE
     assert main(["nope"]) == EXIT_USAGE
+
+
+
+# ------------------------------------------------------------------- fuzzing
+
+
+def _fuzz_input(directory, kind):
+    path = directory / "input.xyz"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "non-UTF-8":
+        path.write_bytes(b"0 0 0\n\xff\xfe 1 1\n")
+    elif kind in ("valid", "features", "huge extent"):
+        rng = np.random.default_rng(5)
+        coords = rng.uniform(-1.0, 1.0, size=(64, 3)) * (1e308 if kind == "huge extent" else 1.0)
+        features = rng.uniform(size=(64, 1)) if kind == "features" else None
+        write_xyz(PointCloud(coords, features=features), path)
+    return path  # "missing": never created
+
+
+def _fuzz_weights(directory, kind, task, data):
+    path = directory / "w.pcmw"
+    if kind == "missing":
+        return path
+    from pcmamba.io import save_weights
+    from pcmamba.model import build_model
+
+    model = build_model(
+        small_config(task=TASK_CLASSIFICATION if task == "cls" else TASK_SEGMENTATION)
+    )
+    save_weights(model, path)
+    raw = bytearray(path.read_bytes())
+    if kind == "empty":
+        raw = bytearray()
+    elif kind == "truncated":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep bytes")]
+    elif kind == "header-mutated":
+        # magic, version, count and the first tensor's header before its dims
+        header = 12 + 2 + len(next(model.named_params())[0]) + 2
+        raw[data.draw(st.integers(0, header - 1), label="offset")] = data.draw(
+            st.integers(0, 255), label="byte"
+        )
+    path.write_bytes(bytes(raw))
+    return path
+
+
+_INPUT_KINDS = ("missing", "directory", "empty", "non-UTF-8", "valid", "features", "huge extent")
+_WEIGHT_KINDS = (None, "missing", "empty", "truncated", "header-mutated", "valid")
+_JUNK_TEXT = st.text(max_size=4)
+
+
+def _often(valid, other):
+    """Draws a valid value about half the time, and otherwise any of ``other``."""
+    return st.one_of(st.sampled_from(valid), other)
+
+
+# small entries only: bench's quadratic baseline repeats its shortest length
+# (longest / shortest)^2 times
+_LENGTHS = st.one_of(
+    st.lists(st.integers(1, 48), min_size=2, max_size=4, unique=True).map(sorted),
+    st.lists(
+        st.one_of(st.integers(-3, 48), st.sampled_from(["", " ", "x", "1.5", "0x10"])),
+        max_size=4,
+    ),
+).map(lambda entries: ",".join(map(str, entries)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(("forward", "serialize", "bench", "verify")))
+def test_fuzzed_cli_arguments_exit_0_2_or_3(tmp_path_factory, data, command):
+    directory = tmp_path_factory.mktemp("cli")
+    if command in ("forward", "serialize"):
+        kind = data.draw(_often(["valid"], st.sampled_from(_INPUT_KINDS)), label="input")
+        argv = [command, "--input", str(_fuzz_input(directory, kind))]
+    if command == "forward":
+        config = directory / "small.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        task = data.draw(st.sampled_from(["cls", "seg"]), label="task")
+        argv += ["--config", str(config), "--task", task]
+        weights = data.draw(
+            _often([None, "valid"], st.sampled_from(_WEIGHT_KINDS)), label="weights"
+        )
+        if weights is not None:
+            argv += ["--weights", str(_fuzz_weights(directory, weights, task, data))]
+    elif command == "serialize":
+        order = data.draw(_often(ORDER_NAMES, _JUNK_TEXT), label="order")
+        mode = data.draw(_often(["paper", "bijective"], _JUNK_TEXT), label="mode")
+        argv += [f"--order={order}", f"--mode={mode}", "--grid", "8"]
+    elif command == "bench":
+        lengths = data.draw(_LENGTHS, label="lengths")
+        argv = [command, f"--lengths={lengths}", "--channels", "4", "--repeat", "1"]
+    else:  # the model and all suites take seconds each and run in their own tests
+        suite = data.draw(_often(["serialization", "ssm", "gam"], _JUNK_TEXT), label="suite")
+        argv = [command, f"--suite={suite}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"{command} exits {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO), (argv, err.getvalue())
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        assert err.getvalue().startswith(("error:", "usage:")), err.getvalue()
+    if command in ("forward", "serialize") and kind not in ("valid", "features"):
+        assert code in (EXIT_USAGE, EXIT_IO)
+    if command == "forward" and weights in ("missing", "empty", "truncated"):
+        assert code == EXIT_IO, err.getvalue()

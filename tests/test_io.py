@@ -19,8 +19,14 @@ from pcmamba.io import (
     save_weights,
     write_xyz,
 )
-from conftest import small_config
-from pcmamba.model import TASK_SEGMENTATION, ModelConfig, StageConfig, build_model
+from conftest import random_cloud, small_config
+from pcmamba.model import (
+    TASK_SEGMENTATION,
+    ModelConfig,
+    StageConfig,
+    build_model,
+    forward_classification,
+)
 from pcmamba.pointset import PointCloud
 
 
@@ -240,11 +246,13 @@ def _tensors_archive(path, tensors):
 
 
 def _header_offsets(tensors):
-    """Byte offsets of everything in an archive that is not payload."""
+    """Byte offsets of everything in an archive that is not payload: the
+    file header, then per tensor its header and the zero pad after it."""
     offsets = list(range(12))  # magic, version, count
     pos = 12
     for name, arr in tensors:
         size = 2 + len(name.encode("utf-8")) + 2 + 8 * arr.ndim
+        size += -(pos + size) % 64  # the payload starts at a multiple of 64
         offsets += range(pos, pos + size)
         pos += size + arr.nbytes
     return offsets
@@ -316,3 +324,88 @@ def test_archive_non_finite_tensor_rejected(tmp_path, bad):
     with pytest.raises(FormatError) as err:
         load_weights(path, small_config())
     assert repr(name) in str(err.value)
+
+
+def test_header_offsets_cover_all_but_payloads(tmp_path):
+    raw = _tensors_archive(tmp_path / "w.pcmw", _SMALL_TENSORS)
+    payload = set(range(len(raw))) - set(_header_offsets(_SMALL_TENSORS))
+    assert len(payload) == sum(arr.nbytes for _, arr in _SMALL_TENSORS)
+    assert bytes(raw[i] for i in sorted(payload)) == b"".join(
+        arr.astype(arr.dtype.newbyteorder("<")).tobytes() for _, arr in _SMALL_TENSORS
+    )
+
+
+def test_loaded_arrays_view_the_mapped_archive(tmp_path):
+    path = tmp_path / "w.pcmw"
+    save_weights(build_model(small_config(seed=9)), path)
+    before = path.read_bytes()
+    model = load_weights(path, small_config())
+    for name, arr in model.named_params():
+        assert arr.dtype == np.float64, name
+        assert arr.flags.writeable and arr.flags.c_contiguous, name
+        assert not arr.flags.owndata, name
+        assert arr.ctypes.data % 64 == 0, name
+    # the mapping is copy-on-write: the model sees the write, the file does not
+    name, arr = next(model.named_params())
+    arr[...] = 7.0
+    assert (dict(model.named_params())[name] == 7.0).all()
+    assert path.read_bytes() == before
+
+
+def test_float32_payload_loads_as_float64(tmp_path):
+    model = build_model(small_config(seed=10))
+    params = dict(model.named_params())
+    name = "head.logits.w"
+    as_f32 = params[name].astype(np.float32)
+    path = tmp_path / "w.pcmw"
+    save_weights(SimpleNamespace(named_params=lambda: iter({**params, name: as_f32}.items())), path)
+    loaded = dict(load_weights(path, small_config()).named_params())
+    assert loaded[name].dtype == np.float64 and loaded[name].flags.owndata
+    np.testing.assert_array_equal(loaded[name], as_f32.astype(np.float64))
+    for other, arr in params.items():
+        if other != name:
+            np.testing.assert_array_equal(loaded[other], arr)
+
+
+def test_version_1_archive_rejected_naming_version(tmp_path):
+    path = tmp_path / "w.pcmw"
+    raw = bytearray(_tensors_archive(path, _SMALL_TENSORS))
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="unsupported version 1"):
+        load_weights(path, small_config())
+
+
+def test_nonzero_padding_rejected(tmp_path):
+    path = tmp_path / "w.pcmw"
+    raw = bytearray(_tensors_archive(path, _SMALL_TENSORS))
+    pad_at = 12 + 2 + len("a.w") + 2 + 16  # first byte after a.w's dims
+    raw[pad_at] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="'a.w' has nonzero padding"):
+        load_weights(path, small_config())
+
+
+def test_save_over_the_archive_a_model_maps(tmp_path):
+    # the save replaces the file instead of truncating the mapped bytes
+    path = tmp_path / "w.pcmw"
+    save_weights(build_model(small_config(seed=11)), path)
+    before = path.read_bytes()
+    model = load_weights(path, small_config())
+    save_weights(model, path)
+    assert path.read_bytes() == before
+    cloud = random_cloud(seed=3)
+    expected = forward_classification(build_model(small_config(seed=11)), cloud)
+    assert forward_classification(model, cloud).tobytes() == expected.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.pcmw"]
+
+
+def test_failed_save_leaves_the_old_archive(tmp_path):
+    path = tmp_path / "w.pcmw"
+    save_weights(build_model(small_config(seed=12)), path)
+    before = path.read_bytes()
+    tensors = [("a.w", np.ones(3)), ("counts", np.arange(3)), ("c", np.ones(2))]
+    with pytest.raises(FormatError, match="'counts' has unsupported dtype"):
+        save_weights(SimpleNamespace(named_params=lambda: iter(tensors)), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.pcmw"]

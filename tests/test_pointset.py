@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmamba.errors import InvalidInputError
+from pcmamba.errors import InvalidInputError, NumericRangeError
 from pcmamba.pointset import PointCloud, canonical_tiebreak_order, normalize_unit_cube
 
 
@@ -105,3 +105,16 @@ def test_canonical_order_permutation_oracle():
     shuffled = coords[perm]
     b = shuffled[canonical_tiebreak_order(shuffled)]
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalize_extent_beyond_float_range_raises_naming_it():
+    coords = np.array([[-1e308, 0.0, 0.0], [1e308, 1.0, 1.0]])
+    with pytest.raises(NumericRangeError, match=r"coordinate extent \[inf, 1\.0, 1\.0\]"):
+        normalize_unit_cube(PointCloud(coords))
+
+
+def test_normalize_largest_finite_extent_stays_in_unit_cube():
+    coords = np.array([[-8e307, 0.0, 0.0], [8e307, 1.0, 2.0]])
+    norm = normalize_unit_cube(PointCloud(coords)).cloud.coords
+    assert np.isfinite(norm).all() and norm.min() >= 0.0 and norm.max() <= 1.0
