@@ -321,17 +321,12 @@ def run_bench(lengths, channels=64, repeat=3, seed=0):
     layer = SelectiveSSMLayer.init(rng, channels)
     sequences = {m: rng.normal(size=(m, channels)) for m in lengths}
     longest = max(lengths)
+    kernels = {"ssm": lambda x: mamba_block(x, layer), "attention_baseline": _attention_baseline}
+    # one inner count per length for both kernels, so a command costs at
+    # most (repeat + 1) x lengths x one call of each kernel at the longest
     jobs = [
-        (("ssm", m), lambda m=m: mamba_block(sequences[m], layer), max(1, longest // m))
-        for m in lengths
-    ]
-    # quadratic kernel: inner count scales with (longest/m)^2
-    jobs += [
-        (
-            ("attention_baseline", m),
-            lambda m=m: _attention_baseline(sequences[m]),
-            max(1, (longest // m) ** 2),
-        )
+        ((kernel, m), lambda fn=fn, m=m: fn(sequences[m]), max(1, longest // m))
+        for kernel, fn in kernels.items()
         for m in lengths
     ]
     for _, fn, _ in jobs:  # warm-up pass: first-touch allocations, code paths
@@ -340,7 +335,7 @@ def run_bench(lengths, channels=64, repeat=3, seed=0):
     rows = []
     exponents = {}
     ratios = {}
-    for kernel in ("ssm", "attention_baseline"):
+    for kernel in kernels:
         medians = []
         for m in lengths:
             tmin, tmed = timed[(kernel, m)]
@@ -386,8 +381,9 @@ def cmd_inspect(args) -> int:
     model = _unfilled_model(config)  # counts and MACs read no parameter value
     groups: dict[str, int] = {}
     for name, arr in model.named_params():
-        top = name.split(".")[0]
-        groups[top] = groups.get(top, 0) + int(arr.size)
+        parts = name.split(".")
+        group = ".".join(parts[:2] if parts[0] == "stages" else parts[:1])
+        groups[group] = groups.get(group, 0) + int(arr.size)
     total = sum(groups.values())
     lines = [f"config={args.config}"]
     for name in sorted(groups):

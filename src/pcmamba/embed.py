@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import AffineMap
+from .nn import AffineMap, Params
 
 # width of every order prompt before its stage projection
 PROMPT_WIDTH = 64
@@ -30,7 +30,7 @@ def positional_embed(coords: np.ndarray, affine: AffineMap) -> np.ndarray:
 
 
 @dataclass
-class OrderPromptBank:
+class OrderPromptBank(Params):
     """N_p learnable vectors per serialization order plus per-stage projections.
 
     ``prompts`` maps an order name to an (N_p, PROMPT_WIDTH) array;
@@ -55,12 +55,6 @@ class OrderPromptBank:
                 f"no prompts for order {order_name!r}; known: {sorted(self.prompts)}"
             )
         return self.stage_proj[stage](self.prompts[order_name])
-
-    def named_params(self, prefix: str):
-        for name in sorted(self.prompts):
-            yield f"{prefix}.prompts.{name}", self.prompts[name]
-        for i, proj in enumerate(self.stage_proj):
-            yield from proj.named_params(f"{prefix}.stage{i}_proj")
 
 
 def attach_prompts(

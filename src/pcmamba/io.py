@@ -3,14 +3,17 @@
 The text format is one point per line ("x y z [extra feature columns]"),
 '#' comments skipped, written back with 17 significant digits so a
 write/read round trip is exact. Weight archives are little-endian
-regardless of platform: magic "PCMW", u32 version (2), u32 tensor count,
+regardless of platform: magic "PCMW", u32 version (3), u32 tensor count,
 then per tensor a u16 name length, UTF-8 name, u8 dtype code (0 = f32,
 1 = f64), u8 rank, u64 dims, zero bytes up to the next multiple of 64 in
-the file, and the raw data. ``load_weights`` maps the file copy-on-write
-and the model's arrays view its payloads, so loading copies no float64
-weight and no write to an array reaches the file. ``save_weights`` writes
-a sibling file and renames it over the target, so an archive that a loaded
-model maps is replaced, never truncated under the mapping.
+the file, and the raw data. A tensor's name is its attribute path in the
+model (``nn.param_slots``), such as ``stages.1.layers.0.0.dt_bias``, and
+tensors come in that walk's order. ``load_weights`` maps the file
+copy-on-write and the model's arrays view its payloads, so loading copies
+no float64 weight and no write to an array reaches the file.
+``save_weights`` writes a sibling file and renames it over the target, so
+an archive that a loaded model maps is replaced, never truncated under the
+mapping.
 """
 
 from __future__ import annotations
@@ -20,16 +23,16 @@ import mmap
 import os
 import struct
 import sys
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, ParseError
 from .model import _unfilled_model
+from .nn import param_slots
 from .pointset import PointCloud
 
 MAGIC = b"PCMW"
-VERSION = 2
+VERSION = 3
 _ALIGN = 64  # every payload starts at a multiple of this many bytes
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR_KIND = {"f4": 0, "f8": 1}
@@ -225,41 +228,20 @@ def _scan_archive(fh, path) -> dict:
     return layout
 
 
-def _rebind(node, new):
-    """``node`` with each array ``a`` whose ``id(a)`` is a key of ``new``
-    replaced by ``new[id(a)]``, at any depth of dataclass fields, lists,
-    tuples and dicts. Containers change in place, except a tuple, which is
-    rebuilt when one of its items changed."""
-    if isinstance(node, np.ndarray):
-        return new.get(id(node), node)
-    if isinstance(node, tuple):
-        items = tuple(_rebind(v, new) for v in node)
-        return node if all(a is b for a, b in zip(items, node)) else items
-    if isinstance(node, list):
-        node[:] = [_rebind(v, new) for v in node]
-    elif isinstance(node, dict):
-        node.update({k: _rebind(v, new) for k, v in node.items()})
-    elif is_dataclass(node):
-        for f in fields(node):
-            value = getattr(node, f.name)
-            if (swapped := _rebind(value, new)) is not value:
-                setattr(node, f.name, swapped)
-    return node
-
-
 def load_weights(path, config):
     """Build a model for ``config`` whose parameters view the archive at ``path``.
 
     Names and shapes are checked against the archive's headers before any
-    payload is touched. The file is then mapped copy-on-write: each
-    parameter of a model built without drawing random numbers is replaced
-    by an array over its payload (a float32 payload is converted to a new
-    float64 array), so nothing is copied, the arrays stay writeable, and no
-    write reaches the file. Every tensor is checked to be finite, which also
-    pages the weights in before the first forward pass. Name or shape
-    mismatches raise a FormatError listing every offender, as does a
-    tensor holding NaN or Inf; on error no model is returned (no
-    partially-loaded state escapes).
+    payload is touched. The file is then mapped copy-on-write, and each
+    tensor, an array over its payload, is put into the slot that
+    ``nn.param_slots`` names it by, in a model built without drawing random
+    numbers (a float32 payload is converted to a new float64 array). So
+    nothing is copied, the arrays stay writeable, and no write reaches the
+    file. Every tensor is checked to be finite, which also pages the
+    weights in before the first forward pass. Name or shape mismatches
+    raise a FormatError listing every offender, as does a tensor holding
+    NaN or Inf; on error no model is returned (no partially-loaded state
+    escapes).
     """
     model = _unfilled_model(config)
     params = dict(model.named_params())
@@ -281,13 +263,15 @@ def load_weights(path, config):
                 + "; ".join(problems)
             )
         mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    loaded = {}
-    for name, arr in params.items():
+    for name, owner, key in param_slots(model):
         dtype, dims, offset = layout[name]
         tensor = np.ndarray(dims, dtype, buffer=mapping, offset=offset)
-        if tensor.dtype != arr.dtype:
-            tensor = tensor.astype(arr.dtype)
+        if tensor.dtype != params[name].dtype:
+            tensor = tensor.astype(params[name].dtype)
         if not np.isfinite(tensor).all():
             raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf")
-        loaded[id(arr)] = tensor
-    return _rebind(model, loaded)
+        if isinstance(owner, (dict, list, tuple)):
+            owner[key] = tensor
+        else:
+            setattr(owner, key, tensor)
+    return model

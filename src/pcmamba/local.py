@@ -122,7 +122,7 @@ class ResidualMLP(Params):
 
 
 @dataclass
-class MLPStack:
+class MLPStack(Params):
     """A width-changing entry affine, present only when the widths differ,
     followed by one residual block; ``blocks`` holds that block."""
 
@@ -147,12 +147,6 @@ class MLPStack:
         for block in self.blocks:
             x = block(x)
         return x
-
-    def named_params(self, prefix: str):
-        if self.entry is not None:
-            yield from self.entry.named_params(f"{prefix}.entry")
-        for i, block in enumerate(self.blocks):
-            yield from block.named_params(f"{prefix}.block{i}")
 
 
 def _fold(lin: np.ndarray, const: np.ndarray, affine: AffineMap):

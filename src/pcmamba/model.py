@@ -29,7 +29,7 @@ import numpy as np
 from .embed import OrderPromptBank, attach_prompts, positional_embed, strip_prompts
 from .errors import ConfigurationError, DegenerateLabelsError, InvalidInputError, NumericRangeError
 from .local import GAMParams, MLPStack, local_aggregate
-from .nn import AffineMap, silu
+from .nn import AffineMap, Params, param_slots, silu
 from .pointset import NormalizedCloud, PointCloud, canonical_tiebreak_order, normalize_unit_cube
 from .sample import INTERP_K, NeighborhoodIndex, farthest_point_sample, interpolate_features, knn
 from .serialize import ORDER_NAMES, serialize
@@ -146,35 +146,21 @@ def preset_config(
 
 
 @dataclass
-class StageModule:
+class StageModule(Params):
     gam: GAMParams
     phi1: MLPStack
     phi2: MLPStack
     layers: list  # [(fwd, bwd) SelectiveSSMLayer pairs], one per serialization
 
-    def named_params(self, prefix: str):
-        yield from self.gam.named_params(f"{prefix}.gam")
-        yield from self.phi1.named_params(f"{prefix}.phi1")
-        yield from self.phi2.named_params(f"{prefix}.phi2")
-        for j, (fwd, bwd) in enumerate(self.layers):
-            yield from fwd.named_params(f"{prefix}.layer{j}.fwd")
-            yield from bwd.named_params(f"{prefix}.layer{j}.bwd")
-
 
 @dataclass
-class SegDecoder:
+class SegDecoder(Params):
     transforms: list  # per level: (AffineMap concat->D, AffineMap D->D)
     classifier: AffineMap
 
-    def named_params(self, prefix: str):
-        for i, (t1, t2) in enumerate(self.transforms):
-            yield from t1.named_params(f"{prefix}.level{i}.t1")
-            yield from t2.named_params(f"{prefix}.level{i}.t2")
-        yield from self.classifier.named_params(f"{prefix}.classifier")
-
 
 @dataclass
-class Model:
+class Model(Params):
     config: ModelConfig
     stem: MLPStack
     stages: list
@@ -182,19 +168,6 @@ class Model:
     prompt_bank: OrderPromptBank
     head: list | None = None  # classification: [AffineMap, AffineMap]
     decoder: SegDecoder | None = None
-
-    def named_params(self):
-        yield from self.stem.named_params("stem")
-        for l, stage in enumerate(self.stages):
-            yield from stage.named_params(f"stage{l}")
-        for l, affine in enumerate(self.pos_maps):
-            yield from affine.named_params(f"pos.stage{l}.affine")
-        yield from self.prompt_bank.named_params("prompts")
-        if self.head is not None:
-            yield from self.head[0].named_params("head.hidden")
-            yield from self.head[1].named_params("head.logits")
-        if self.decoder is not None:
-            yield from self.decoder.named_params("decoder")
 
 
 def build_model(config: ModelConfig) -> Model:
@@ -400,17 +373,22 @@ def count_parameters(model: Model) -> int:
     return sum(int(arr.size) for _, arr in model.named_params())
 
 
-def _weights(module, suffix: str = ".w") -> int:
-    """Total size of the weight matrices of ``module`` (its parameters named
-    ``*{suffix}``): the multiply-accumulates of one row through them."""
-    return sum(w.size for name, w in module.named_params("") if name.endswith(suffix))
+def _weights(module) -> int:
+    """Total size of the weight matrices of ``module`` (its arrays in a
+    field named ``w`` or ``*_w``): the multiply-accumulates of one row
+    through them."""
+    return sum(
+        getattr(owner, key).size
+        for _, owner, key in param_slots(module)
+        if key == "w" or str(key).endswith("_w")
+    )
 
 
 def _mamba_macs_per_token(layer: SelectiveSSMLayer) -> int:
     """One direction per token: its projection and conv weights (the
     ``*_w`` arrays), 4 per state and channel for the recurrence (dt * A,
     dt * u * B, the update, the readout) and one per channel for the gate."""
-    return _weights(layer, "_w") + 4 * layer.a_log.size + layer.d_inner
+    return _weights(layer) + 4 * layer.a_log.size + layer.d_inner
 
 
 def estimate_flops(model: Model, n_points: int) -> int:

@@ -6,7 +6,7 @@ in float64 from an explicit Generator so builds are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -51,18 +51,40 @@ def rms_norm(x, scale):
     return out
 
 
-class Params:
-    """Base of the dataclass modules whose tensors are named by their fields."""
+def param_slots(node, prefix: str = ""):
+    """Yield ``(name, owner, key)`` for every array below ``node``.
 
-    def named_params(self, prefix: str):
-        """``(prefix.field, array)`` per array field in field order; a field
-        that is a ``Params`` yields its own under ``prefix.field``."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                yield f"{prefix}.{f.name}", value
-            elif isinstance(value, Params):
-                yield from value.named_params(f"{prefix}.{f.name}")
+    A name is the array's attribute path, its parts joined by dots after
+    ``prefix``: dataclass fields in field order, list and tuple items by
+    index, dict items by sorted key. The array is ``owner[key]`` when
+    ``owner`` is a dict, list or tuple, and ``owner.key`` otherwise.
+    """
+    if isinstance(node, dict):
+        items = [(key, node[key]) for key in sorted(node)]
+    elif isinstance(node, (list, tuple)):
+        items = enumerate(node)
+    elif is_dataclass(node):
+        items = [(f.name, getattr(node, f.name)) for f in fields(node)]
+    else:
+        return
+    for key, value in items:
+        name = f"{prefix}.{key}" if prefix else str(key)
+        if isinstance(value, np.ndarray):
+            yield name, node, key
+        else:
+            yield from param_slots(value, name)
+
+
+class Params:
+    """Base of the module dataclasses. Their arrays are named by their
+    attribute paths (``param_slots``): in a model, ``stages.1.layers.0.0.dt_bias``
+    is ``model.stages[1].layers[0][0].dt_bias``; archives store these names."""
+
+    def named_params(self, prefix: str = ""):
+        """``(name, array)`` for every array below the module, in ``param_slots`` order."""
+        for name, owner, key in param_slots(self, prefix):
+            subscript = isinstance(owner, (dict, list, tuple))
+            yield name, owner[key] if subscript else getattr(owner, key)
 
 
 @dataclass

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import re
+import time
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -369,9 +370,9 @@ def test_forward_overflowing_dt_bias_exits_3(capsys, tmp_path, config_file):
 @pytest.mark.parametrize(
     "task, tensor, step",
     [
-        ("cls", "head.hidden.w", "classification head"),
-        ("seg", "decoder.level0.t1.w", "segmentation decoder"),
-        ("cls", "stage1.layer0.fwd.dt_bias", "stage 1 layer 0 (xzy)"),
+        ("cls", "head.0.w", "classification head"),
+        ("seg", "decoder.transforms.0.0.w", "segmentation decoder"),
+        ("cls", "stages.1.layers.0.0.dt_bias", "stage 1 layer 0 (xzy)"),
     ],
 )
 def test_forward_overflowing_weight_exits_3_naming_step(
@@ -519,6 +520,15 @@ def test_bench_report_contract(capsys):
     assert out.count(",ssm,") == 3 and out.count(",attention_baseline,") == 3
 
 
+def test_bench_time_is_linear_in_the_longest_length(capsys):
+    # both kernels repeat longest // m times at length m, so a long last
+    # length costs one call per kernel and repetition, not (4096 / 1) ** 2
+    t0 = time.perf_counter()
+    code, out = run(capsys, "bench", "--lengths", "1,4096", "--repeat", "1")
+    assert code == EXIT_OK and out.count(",attention_baseline,") == 2
+    assert time.perf_counter() - t0 < 30.0
+
+
 def test_bench_has_no_baseline_option(capsys):
     # the attention baseline always runs
     code, _ = run(capsys, "bench", "--lengths", "128,256", "--baseline", "none")
@@ -573,6 +583,20 @@ def test_inspect_pcm_params(capsys):
     assert code == EXIT_OK
     total = int(report["params.total"])
     assert abs(total - 34.2e6) <= 0.15 * 34.2e6
+
+
+def test_inspect_groups_sum_to_total_with_one_line_per_stage(capsys):
+    code, out = run(capsys, "inspect", "--config", "pcm")
+    report = parse_report(out)
+    assert code == EXIT_OK
+    groups = {
+        k: int(v) for k, v in report.items()
+        if k.startswith("params.") and k not in ("params.total", "params.ratio_to_published")
+    }
+    assert sorted(k for k in groups if k.startswith("params.stages.")) == [
+        f"params.stages.{i}" for i in range(4)
+    ]
+    assert sum(groups.values()) == int(report["params.total"])
 
 
 def test_inspect_has_no_seed(capsys):
@@ -655,8 +679,7 @@ def _often(valid, other):
     return st.one_of(st.sampled_from(valid), other)
 
 
-# small entries only: bench's quadratic baseline repeats its shortest length
-# (longest / shortest)^2 times
+# small entries keep each example's bench run short
 _LENGTHS = st.one_of(
     st.lists(st.integers(1, 48), min_size=2, max_size=4, unique=True).map(sorted),
     st.lists(

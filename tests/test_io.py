@@ -237,7 +237,7 @@ def test_weights_config_mismatch_names_offender(tmp_path):
     save_weights(model, path)
     with pytest.raises(FormatError) as err:
         load_weights(path, small_config(num_classes=5))
-    assert "head.logits" in str(err.value)
+    assert "head.1" in str(err.value)
 
 
 def _tensors_archive(path, tensors):
@@ -355,7 +355,7 @@ def test_loaded_arrays_view_the_mapped_archive(tmp_path):
 def test_float32_payload_loads_as_float64(tmp_path):
     model = build_model(small_config(seed=10))
     params = dict(model.named_params())
-    name = "head.logits.w"
+    name = "head.1.w"
     as_f32 = params[name].astype(np.float32)
     path = tmp_path / "w.pcmw"
     save_weights(SimpleNamespace(named_params=lambda: iter({**params, name: as_f32}.items())), path)
@@ -367,12 +367,13 @@ def test_float32_payload_loads_as_float64(tmp_path):
             np.testing.assert_array_equal(loaded[other], arr)
 
 
-def test_version_1_archive_rejected_naming_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_1_archive_rejected_naming_version(tmp_path, version):
     path = tmp_path / "w.pcmw"
     raw = bytearray(_tensors_archive(path, _SMALL_TENSORS))
-    raw[4:8] = struct.pack("<I", 1)
+    raw[4:8] = struct.pack("<I", version)
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="unsupported version 1"):
+    with pytest.raises(FormatError, match=f"unsupported version {version}"):
         load_weights(path, small_config())
 
 

@@ -37,6 +37,30 @@ def test_build_deterministic():
         np.testing.assert_array_equal(a1, a2)
 
 
+def _follow(node, path):
+    for part in path.split("."):
+        if isinstance(node, dict):
+            node = node[part]
+        elif isinstance(node, (list, tuple)):
+            node = node[int(part)]
+        else:
+            node = getattr(node, part)
+    return node
+
+
+@pytest.mark.parametrize("preset", ["pcm", "pcm-tiny"])
+@pytest.mark.parametrize("task", [TASK_CLASSIFICATION, TASK_SEGMENTATION])
+def test_param_names_are_attribute_paths(preset, task):
+    # shapes only: the unfilled model is assembled like build_model's
+    model = pcmamba.model._unfilled_model(preset_config(preset, task=task))
+    named = list(model.named_params())
+    names = [name for name, _ in named]
+    assert len(set(names)) == len(names)
+    for name, arr in named:
+        assert _follow(model, name) is arr, name
+    assert count_parameters(model) == sum(arr.size for _, arr in named)
+
+
 def test_distinct_seeds_distinct_parameters_and_logits():
     cloud = random_cloud()
     l0 = forward_classification(build_model(small_config(seed=0)), cloud)
