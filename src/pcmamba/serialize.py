@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .pointset import NormalizedCloud, PointCloud
+from .pointset import NormalizedCloud, PointCloud, canonical_tiebreak_order
 from .sample import knn
 
 MODE_PAPER = "paper_literal"
@@ -197,12 +197,12 @@ def serialize(
     """Permutation that orders the points along the named 1-D traversal.
 
     Points are stably sorted by their cell code; ties (points in the same
-    cell) fall back to lexicographic coordinates and then input index, so
-    the serialized coordinate sequence is a pure function of the geometry.
+    cell) keep ``canonical_tiebreak_order`` (coordinates, then input index),
+    so the serialized coordinate sequence is a pure function of the geometry.
     """
     codes = order_codes(grid_quantize(cloud, grid_n), grid_n, name, mode)
-    coords = cloud.cloud.coords
-    return np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0], codes))
+    canon = canonical_tiebreak_order(cloud.cloud.coords)
+    return canon[np.argsort(codes[canon], kind="stable")]
 
 
 def count_code_collisions(

@@ -2,10 +2,11 @@
 
 Covers the discrete-time pipeline end to end: zero-order-hold
 discretization of a diagonal continuous system, the sequential recurrence
-h_t = a_bar * h_{t-1} + b_bar * x_t with y_t = c . h_t, the equivalent
-global-convolution form for time-invariant parameters, a hand-derived
-reverse-time adjoint for gradient verification, and the selective
-(input-conditioned) layer with its gated block and bidirectional wrapper.
+h_t = a_bar * h_{t-1} + b_bar * x_t with y_t = c . h_t (``scan``), its
+global-convolution form for constant parameters (``conv_form``, same
+arguments), a hand-derived reverse-time adjoint (``scan_backward``), and
+the selective (input-conditioned) layer with its gated block and
+bidirectional wrapper. The reference kernels take plain arrays.
 The selective layer discretizes its input term with the Euler rule
 b_bar = dt * B, as Mamba's reference scan does. Its shape is fixed by the
 module constants ``STATE_SIZE`` and ``CONV_WIDTH``, with an inner width
@@ -46,25 +47,22 @@ def discretize(dt, a, b):
     as expm1(z)/z * dt * b with z = dt * a, falling back to the series
     1 + z/2 + z^2/6 when |z| < 1e-6 (the two branches agree to ~1e-15).
 
-    Inputs broadcast elementwise; dt must be positive.
+    Inputs broadcast elementwise; dt must be positive. One range guard: a
+    non-finite z, a_bar or b_bar raises ``NumericRangeError``, with no warning.
     """
-    dt = np.asarray(dt, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    dt, a, b = (np.asarray(v, dtype=np.float64) for v in (dt, a, b))
     if np.any(dt <= 0):
         raise ValueError("dt must be positive")
-    z = dt * a
-    with np.errstate(over="raise"):
-        try:
-            a_bar = np.exp(z)
-        except FloatingPointError as exc:
-            raise NumericRangeError(f"exp overflow in discretization: {exc}") from exc
-    if not np.isfinite(a_bar).all():
-        raise NumericRangeError("exp overflow in discretization")
-    small = np.abs(z) < _ZOH_SERIES_CUTOFF
-    z_safe = np.where(small, 1.0, z)
-    factor = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z_safe) / z_safe)
-    return a_bar, factor * dt * b
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = dt * a
+        a_bar = np.exp(z)
+        small = np.abs(z) < _ZOH_SERIES_CUTOFF
+        z_safe = np.where(small, 1.0, z)
+        factor = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(z_safe) / z_safe)
+        b_bar = factor * dt * b
+    if not all(np.isfinite(v).all() for v in (z, a_bar, b_bar)):
+        raise NumericRangeError("dt * a, a_bar or b_bar out of range in discretization")
+    return a_bar, b_bar
 
 
 def _recur(a_bar, bx, h, out, c=None):
@@ -77,51 +75,53 @@ def _recur(a_bar, bx, h, out, c=None):
         out[t] = h if c is None else c[t] @ h
 
 
-def _per_step(arr, m, s, name):
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != s:
-            raise ValueError(f"{name} has state size {arr.shape[0]}, expected {s}")
-        return np.broadcast_to(arr, (m, s))
-    if arr.shape != (m, s):
-        raise ValueError(f"{name} must be ({m}, {s}), got {arr.shape}")
-    return arr
+def _scan_params(m, a_bar, b_bar, c):
+    """The contract of ``scan`` and ``scan_backward``: a_bar, b_bar and c are
+    finite (S,) or (M, S) arrays with one S, else ``ValueError``. Returns
+    them as (M, S), constant vectors broadcast along the sequence."""
+    params = [np.asarray(p, dtype=np.float64) for p in (a_bar, b_bar, c)]
+    s = params[0].shape[-1] if params[0].ndim else None
+    for name, p in zip(("a_bar", "b_bar", "c"), params):
+        if p.shape not in ((s,), (m, s)):
+            raise ValueError(f"{name} must have shape ({s},) or ({m}, {s}), got {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"{name} must be finite")
+    return [np.broadcast_to(p, (m, s)) for p in params]
 
 
 def scan(x, a_bar, b_bar, c):
     """Run the recurrence h_t = a_bar_t * h_{t-1} + b_bar_t * x_t, y_t = c_t . h_t.
 
     ``x`` is a length-M scalar sequence; the parameters are per-step (M, S)
-    arrays or constant (S,) vectors. The initial state is zero.
+    arrays or constant (S,) vectors, all finite. The initial state is zero.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
-    s = np.asarray(a_bar).shape[-1]
-    a_bar = _per_step(a_bar, m, s, "a_bar")
-    b_bar = _per_step(b_bar, m, s, "b_bar")
-    c = _per_step(c, m, s, "c")
+    a_bar, b_bar, c = _scan_params(m, a_bar, b_bar, c)
     # one dot product per row: batched forms (einsum, a sum over S) add the
     # S products in another order and can differ in the last bit
     y = np.empty(m)
-    _recur(a_bar, b_bar * x[:, None], np.zeros(s), y, c)
+    _recur(a_bar, b_bar * x[:, None], np.zeros(a_bar.shape[1]), y, c)
     return y
 
 
-def conv_form(x, system: "LTISystem"):
-    """Evaluate a time-invariant system as a causal global convolution.
+def conv_form(x, a_bar, b_bar, c):
+    """``scan`` with constant parameters, evaluated as a causal global convolution.
 
     The kernel is K_m = c . (a_bar^m * b_bar) for m = 0..M-1; the output is
-    the causal convolution of x with K. Only valid for constant parameters.
+    the causal convolution of x with K. Per-step (M, S) parameters and
+    vectors of unequal length raise ``ContractViolationError``; otherwise
+    the contract of ``scan`` holds.
     """
-    if not isinstance(system, LTISystem):
-        raise ContractViolationError("conv_form requires a time-invariant LTISystem")
+    shapes = {np.shape(p) for p in (a_bar, b_bar, c)}
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise ContractViolationError("conv_form takes constant (S,) parameters of one length")
+    a_bar, b_bar, c = (p[0] for p in _scan_params(1, a_bar, b_bar, c))
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
-    a_bar, b_bar = system.discretize()
     powers = np.ones((m, a_bar.shape[0]))
-    if m > 1:
-        powers[1:] = np.cumprod(np.broadcast_to(a_bar, (m - 1, a_bar.shape[0])), axis=0)
-    kernel = powers @ (system.c * b_bar)
+    powers[1:] = np.cumprod(np.broadcast_to(a_bar, (m - 1, a_bar.shape[0])), axis=0)
+    kernel = powers @ (c * b_bar)
     return np.convolve(x, kernel)[:m]
 
 
@@ -131,21 +131,16 @@ def scan_backward(x, a_bar, b_bar, c, upstream_grad):
     Runs the forward recurrence to recover the states, then the reverse-time
     adjoint lambda_t = g_t * c_t + a_bar_{t+1} * lambda_{t+1} (diagonal
     transition, so the transpose is itself) as the same recurrence over the
-    reversed sequence. Returns a dict with gradients for x, a_bar, b_bar,
-    and c; per-step (M, S) parameter shapes required.
+    reversed sequence. The parameters are as in ``scan``. Returns a dict of
+    gradients for x and the per-step (M, S) a_bar, b_bar and c.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(upstream_grad, dtype=np.float64)
     m = x.shape[0]
     if g.shape != (m,):
         raise ValueError(f"upstream_grad must have shape ({m},), got {g.shape}")
-    a_bar = np.asarray(a_bar, dtype=np.float64)
-    s = a_bar.shape[-1]
-    for name, arr in (("a_bar", a_bar), ("b_bar", b_bar), ("c", c)):
-        if np.asarray(arr).shape != (m, s):
-            raise ValueError(f"{name} must be per-step with shape ({m}, {s})")
-    b_bar = np.asarray(b_bar, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    a_bar, b_bar, c = _scan_params(m, a_bar, b_bar, c)
+    s = a_bar.shape[1]
 
     # prev[t] = h_{t-1}, with h_{-1} = 0; a_next[t] = a_bar_{t+1}, with 0
     # past the last step
@@ -162,36 +157,6 @@ def scan_backward(x, a_bar, b_bar, c, upstream_grad):
         "b_bar": lam * x[:, None],
         "c": g[:, None] * prev[1:],
     }
-
-
-@dataclass
-class LTISystem:
-    """Diagonal continuous-time system (a, b, c) with a fixed timescale dt."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        if not (a.ndim == b.ndim == c.ndim == 1 and a.shape == b.shape == c.shape):
-            raise ContractViolationError(
-                "LTISystem parameters must be equal-length 1-D vectors "
-                "(time-varying parameters are not representable here)"
-            )
-        if not np.isscalar(self.dt) and np.asarray(self.dt).ndim != 0:
-            raise ContractViolationError("dt must be a scalar")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-            raise ValueError("system parameters must be finite")
-        self.a, self.b, self.c = a, b, c
-
-    def discretize(self):
-        return discretize(self.dt, self.a, self.b)
 
 
 @dataclass

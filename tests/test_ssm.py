@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmamba import checks
@@ -9,7 +11,6 @@ from pcmamba.nn import rms_norm, silu, softplus
 from pcmamba.ssm import (
     CONV_WIDTH,
     STATE_SIZE,
-    LTISystem,
     SelectiveSSMLayer,
     bidirectional_mamba,
     causal_depthwise_conv,
@@ -27,12 +28,11 @@ def rng_for(seed):
 
 
 def random_system(rng, s):
-    return LTISystem(
-        a=rng.uniform(-2.0, -0.05, size=s),
-        b=rng.normal(size=s),
-        c=rng.normal(size=s),
-        dt=float(rng.uniform(0.1, 1.0)),
-    )
+    """Constant (a_bar, b_bar, c) of a random stable time-invariant system."""
+    a = rng.uniform(-2.0, -0.05, size=s)
+    b = rng.normal(size=s)
+    c = rng.normal(size=s)
+    return (*discretize(float(rng.uniform(0.1, 1.0)), a, b), c)
 
 
 # ----------------------------------------------------------------- discretize
@@ -69,6 +69,31 @@ def test_discretize_overflow_raises():
 def test_discretize_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
         discretize(0.0, np.array([-1.0]), np.array([1.0]))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.lists(_finite, min_size=1, max_size=3),
+    _finite,
+)
+@example(1e300, [-1e10], 1.0)  # dt * a overflows to -inf; b_bar read 0
+@example(2.0, [-1e-9], 1e308)  # b_bar overflows in the series branch
+@example(1.34e154, [-1.34e154], 1.0)  # z * z overflows in the unused series
+def test_discretize_fuzz_finite_or_range_error(dt, a, b):
+    """Any finite dt > 0, a and b: finite a_bar and b_bar, or
+    NumericRangeError, and never a floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            a_bar, b_bar = discretize(dt, np.array(a), np.array(b))
+        except NumericRangeError:
+            return
+    assert a_bar.shape == b_bar.shape == (len(a),)
+    assert np.isfinite(a_bar).all() and np.isfinite(b_bar).all()
 
 
 # ----------------------------------------------------------------------- scan
@@ -167,8 +192,7 @@ def test_scan_and_backward_match_reference_loop(m, s, constant):
     g = rng.normal(size=m)
     y_ref, grads_ref = scan_reference(x, a_bar, b_bar, c, g)
     np.testing.assert_array_equal(scan(x, a_bar, b_bar, c), y_ref)
-    per_step = [np.broadcast_to(p, (m, s)) for p in (a_bar, b_bar, c)]
-    grads = scan_backward(x, *per_step, g)
+    grads = scan_backward(x, a_bar, b_bar, c, g)
     assert grads.keys() == grads_ref.keys()
     for name, ref in grads_ref.items():
         np.testing.assert_array_equal(grads[name], ref, err_msg=name)
@@ -178,31 +202,47 @@ def test_scan_and_backward_match_reference_loop(m, s, constant):
 
 
 def test_conv_form_single_step():
-    system = LTISystem(a=np.array([-1.0]), b=np.array([2.0]), c=np.array([3.0]), dt=0.5)
-    _, b_bar = system.discretize()
-    y = conv_form(np.array([1.5]), system)
+    a_bar, b_bar = discretize(0.5, np.array([-1.0]), np.array([2.0]))
+    y = conv_form(np.array([1.5]), a_bar, b_bar, np.array([3.0]))
     assert y[0] == pytest.approx(3.0 * b_bar[0] * 1.5)
 
 
 def test_conv_form_impulse_gives_kernel():
     rng = rng_for(3)
-    system = random_system(rng, s=4)
+    a_bar, b_bar, c = random_system(rng, s=4)
     m = 32
     impulse = np.zeros(m)
     impulse[0] = 1.0
-    kernel = conv_form(impulse, system)
-    a_bar, b_bar = system.discretize()
+    kernel = conv_form(impulse, a_bar, b_bar, c)
     powers = np.ones((m, 4))
     powers[1:] = np.cumprod(np.tile(a_bar, (m - 1, 1)), axis=0)
-    expected = powers @ (system.c * b_bar)
+    expected = powers @ (c * b_bar)
     np.testing.assert_allclose(kernel, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_conv_form_rejects_time_varying():
-    with pytest.raises(ContractViolationError):
-        LTISystem(a=np.zeros((4, 2)), b=np.zeros(2), c=np.zeros(2), dt=0.1)
-    with pytest.raises(ContractViolationError):
-        conv_form(np.zeros(4), "not a system")
+    for a_bar, b_bar, c in [
+        (np.zeros((4, 2)), np.zeros(2), np.zeros(2)),  # per-step a_bar
+        (np.zeros(2), np.zeros(2), np.zeros((4, 2))),  # per-step c
+        (np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2))),  # all per-step
+        (np.zeros(2), np.zeros(3), np.zeros(2)),  # unequal lengths
+        (np.zeros(2), np.zeros(2), np.zeros(1)),
+    ]:
+        with pytest.raises(ContractViolationError):
+            conv_form(np.zeros(4), a_bar, b_bar, c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_reference_kernels_reject_non_finite_parameters(which, bad):
+    params = [np.full(3, 0.5), np.ones(3), np.ones(3)]
+    params[which][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        scan(np.ones(5), *params)
+    with pytest.raises(ValueError, match="finite"):
+        conv_form(np.ones(5), *params)
+    with pytest.raises(ValueError, match="finite"):
+        scan_backward(np.ones(5), *params, np.ones(5))
 
 
 # -------------------------------------------------------------- scan_backward
