@@ -4,7 +4,7 @@ Each public function checks one invariant and returns a CheckResult with the
 measured error and its tolerance; exact structural checks use a tolerance of
 0 and report a violation count. What differs between callers is an argument:
 random streams (one Generator per trial, so a caller may draw all trials from
-one stream or seed each trial itself), shapes, data and models.
+one stream or seed each trial itself), shapes, data, orders and models.
 
 ``pcmamba verify`` runs the four suites at the end of the module. The
 acceptance criteria and the unit tests call the same functions with their own
@@ -13,14 +13,13 @@ its suite computes (discretization stability, scan linearity and causality,
 block determinism, stage token counts, finite activations) is written inline
 in that suite.
 
-    criterion 1   cts_bijective, cts_snake, paper_literal_collides (grids 2-16)
+    criterion 1   orders_bijective, orders_unit_steps, paper_literal_collides (grids 2-16)
     criterion 2   axis_variant_identity
     criterion 3   scan_equals_conv (one generator per seed 0-99)
     criterion 4   zoh_exact_values (b = 3), zoh_series_matches_closed
     criterion 5   adjoint_matches_finite_differences (seeds 300-319)
     criterion 6   gam_sigma_matches_oracle, gam_unit_rms
-    criterion 7   classification_permutation_invariant,
-                  segmentation_permutation_equivariant (full pcm-tiny)
+    criterion 7   permutation_commutes (full pcm-tiny, both tasks)
     criterion 8   parameter_budget
     criterion 11  probe_gradient_matches_finite_differences
     criterion 12  seeded_build_deterministic
@@ -92,24 +91,22 @@ def _duplicates(codes):
     return len(codes) - len(np.unique(codes))
 
 
-def _step_error(cells, codes):
-    """Largest deviation from an L1 step of one along the walk in code order."""
-    steps = np.abs(np.diff(cells[np.argsort(codes)], axis=0)).sum(axis=1)
-    return int(np.abs(steps - 1).max())
-
-
-def cts_bijective(grid_n):
-    """No two cells of the full grid share a code, in any of the six snake orders."""
+def orders_bijective(label, names, grid_n):
+    """No two cells of the full grid share a code, in any of the named orders."""
     cells = _full_grid(grid_n)
-    worst = max(_duplicates(ser.order_codes(cells, grid_n, name)) for name in ser.CTS_NAMES)
-    return _check(f"cts_bijective_grid{grid_n}", worst, 0)
+    worst = max(_duplicates(ser.order_codes(cells, grid_n, name)) for name in names)
+    return _check(f"{label}_grid{grid_n}", worst, 0)
 
 
-def cts_snake(grid_n):
-    """Each of the six snake orders walks the full grid in unit L1 steps."""
+def orders_unit_steps(label, names, grid_n):
+    """Each of the named orders walks the full grid in unit L1 steps; measures
+    the largest deviation from a step of one along any of the walks."""
     cells = _full_grid(grid_n)
-    worst = max(_step_error(cells, ser.order_codes(cells, grid_n, name)) for name in ser.CTS_NAMES)
-    return _check(f"cts_snake_grid{grid_n}", worst, 0)
+    worst = 0
+    for name in names:
+        steps = np.abs(np.diff(cells[np.argsort(ser.order_codes(cells, grid_n, name))], axis=0))
+        worst = max(worst, int(np.abs(steps.sum(axis=1) - 1).max()))
+    return _check(f"{label}_grid{grid_n}", worst, 0)
 
 
 def paper_literal_collides(grid_n):
@@ -123,22 +120,6 @@ def axis_variant_identity():
     cells = _full_grid(8)
     yxz, swapped = ser.order_codes(cells, 8, "yxz"), ser.order_codes(cells[:, (1, 0, 2)], 8, "xyz")
     return _differing("axis_variant_identity_grid8", yxz, swapped)
-
-
-def hilbert_bijective():
-    codes = ser.hilbert_code(_full_grid(4), 4)
-    return _check("hilbert_bijective_grid4", _duplicates(codes), 0)
-
-
-def hilbert_unit_steps():
-    cells = _full_grid(4)
-    codes = ser.hilbert_code(cells, 4)
-    return _check("hilbert_unit_steps_grid4", _step_error(cells, codes), 0)
-
-
-def morton_bijective(grid_n):
-    codes = ser.morton_code(_full_grid(grid_n), grid_n)
-    return _check(f"morton_bijective_grid{grid_n}", _duplicates(codes), 0)
 
 
 def serialize_pure_function(rng, n):
@@ -296,29 +277,20 @@ def _small_config(task=TASK_CLASSIFICATION, seed=0):
     return ModelConfig(stages=stages, n_p=2, grid_n=16, task=task, num_classes=3, seed=seed)
 
 
-def classification_permutation_invariant(model, coords, perm):
-    logits = forward_classification(model, PointCloud(coords))
-    shuffled = forward_classification(model, PointCloud(coords[perm]))
-    return _differing("classification_permutation_invariant", shuffled, logits)
-
-
-def segmentation_permutation_equivariant(model, coords, perm):
-    seg = forward_segmentation(model, PointCloud(coords))
-    shuffled = forward_segmentation(model, PointCloud(coords[perm]))
-    return _differing("segmentation_permutation_equivariant", shuffled, seg[perm])
-
-
-def coincident_points_permutation_invariant(cls_model, seg_model, rows, perms):
-    """Points given as coordinate then feature columns (``rows``), which may
-    share coordinates: under each permutation, classification logits stay
-    and segmentation logits follow their points, bit for bit."""
+def permutation_commutes(name, models, rows, perms):
+    """Points given as coordinate then feature columns (``rows``, none for plain
+    coordinates), which may share coordinates: under each permutation, the
+    logits of a model with a classification ``head`` stay and those of a
+    segmentation model follow their points, bit for bit."""
     differing = 0
-    for forward, model in ((forward_classification, cls_model), (forward_segmentation, seg_model)):
+    for model in models:
+        invariant = model.head is not None
+        forward = forward_classification if invariant else forward_segmentation
         out = forward(model, PointCloud(rows[:, :3], rows[:, 3:]))
         for perm in perms:
             shuffled = forward(model, PointCloud(rows[perm, :3], rows[perm, 3:]))
-            differing += int((shuffled != (out if model.head is not None else out[perm])).sum())
-    return _check("coincident_points_permutation_invariant", differing, 0)
+            differing += int((shuffled != (out if invariant else out[perm])).sum())
+    return _check(name, differing, 0)
 
 
 def seeded_build_deterministic(config, cloud):
@@ -365,12 +337,18 @@ def probe_gradient_matches_finite_differences(rng):
 
 def serialization_checks(seed: int = 0):
     rng = _rng(seed)
-    per_grid = (cts_bijective, cts_snake, paper_literal_collides)
-    return [check(grid_n) for grid_n in (2, 4, 8, 16) for check in per_grid] + [
+    results = []
+    for grid_n in (2, 4, 8, 16):
+        results += [
+            orders_bijective("cts_bijective", ser.CTS_NAMES, grid_n),
+            orders_unit_steps("cts_snake", ser.CTS_NAMES, grid_n),
+            paper_literal_collides(grid_n),
+        ]
+    return results + [
         axis_variant_identity(),
-        hilbert_bijective(),
-        hilbert_unit_steps(),
-        morton_bijective(4),
+        orders_bijective("hilbert_bijective", ("hilbert",), 4),
+        orders_unit_steps("hilbert_unit_steps", ("hilbert",), 4),
+        orders_bijective("morton_bijective", ("z",), 4),
         serialize_pure_function(rng, 256),
         refinement_preserves_distinction(rng),
     ]
@@ -423,11 +401,14 @@ def model_checks(seed: int = 0):
     rng = _rng(seed)
     coords = rng.uniform(0.0, 1.0, size=(1024, 3))
     model = build_model(preset_config("pcm-tiny", num_classes=5, seed=seed))
-    results = [classification_permutation_invariant(model, coords, rng.permutation(1024))]
+    cls_perm = [rng.permutation(1024)]
     # segmentation equivariance on a smaller config for speed
     seg_model = build_model(_small_config(task=TASK_SEGMENTATION, seed=seed))
-    small = rng.uniform(0.0, 1.0, size=(128, 3))
-    results.append(segmentation_permutation_equivariant(seg_model, small, rng.permutation(128)))
+    small, seg_perm = rng.uniform(0.0, 1.0, size=(128, 3)), [rng.permutation(128)]
+    results = [
+        permutation_commutes("classification_permutation_invariant", [model], coords, cls_perm),
+        permutation_commutes("segmentation_permutation_equivariant", [seg_model], small, seg_perm),
+    ]
     cloud = PointCloud(coords)
     counts = [len(f) for f in encode(model, cloud).stage_feats]
     # logits are finite on 100 uniform 64-point clouds
@@ -447,7 +428,7 @@ def model_checks(seed: int = 0):
         seeded_build_deterministic(_small_config(seed=seed), PointCloud(coords[:200])),
         parameter_budget("pcm-tiny"),
         parameter_budget("pcm"),
-        coincident_points_permutation_invariant(*feat_models, rows, perms),
+        permutation_commutes("coincident_points_permutation_invariant", feat_models, rows, perms),
     ]
 
 

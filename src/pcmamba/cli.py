@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -90,15 +90,19 @@ EXIT_CODES = {
 }
 
 
-def _emit(lines):
-    sys.stdout.write("".join(line + "\n" for line in lines))
+def _emit(lines, path=None):
+    """Write ``lines``, each ended by a newline, to stdout or to the file at ``path``."""
+    text = "".join(line + "\n" for line in lines)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+def _csv(header, rows):
+    """A CSV table as lines: the header row, then one line per row."""
+    return [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
 
 
 def _load_cloud(args) -> PointCloud:
@@ -132,25 +136,18 @@ def cmd_serialize(args) -> int:
     ]
     perms = [ser.serialize(normalized, name, args.grid, mode) for name in names]
     all_metrics = locality_metrics(normalized.cloud, perms, window=args.window)
+    # one row per order: its key=value section, and its CSV row with --compare-all
+    header = ("order", "mean_gap", "adjacency_rate", "collision_count")
     rows = []
     for name, metrics in zip(names, all_metrics):
         collisions = ser.count_code_collisions(normalized, name, args.grid, mode)
-        lines.append("")
-        lines.append(f"order={name}")
-        lines.append(f"mean_gap={_fmt(metrics['mean_gap'])}")
-        lines.append(f"adjacency_rate={_fmt(metrics['adjacency_rate'])}")
-        lines.append(f"collision_count={collisions}")
         rows.append((name, _fmt(metrics["mean_gap"]), _fmt(metrics["adjacency_rate"]), collisions))
+        lines += ["", *(f"{key}={value}" for key, value in zip(header, rows[-1]))]
     _emit(lines)
-    if args.out:
-        if args.compare_all:
-            _write_csv(args.out, ("order", "mean_gap", "adjacency_rate", "collision_count"), rows)
-        else:
-            _write_csv(
-                args.out,
-                ("position", "point_index"),
-                list(enumerate(perms[0].tolist())),
-            )
+    if args.out and args.compare_all:
+        _emit(_csv(header, rows), args.out)
+    elif args.out:
+        _emit(_csv(("position", "point_index"), enumerate(perms[0].tolist())), args.out)
     return EXIT_OK
 
 
@@ -172,7 +169,7 @@ def _check_keys(where, raw, cls):
             )
 
 
-def config_from_file(path, task, num_classes, in_features=0, seed=0) -> ModelConfig:
+def config_from_file(path, task, num_classes, seed=0) -> ModelConfig:
     """Model config from a JSON object: its keys are ModelConfig's fields
     except task, seed and in_features, which the command line sets, and its
     "stages" list holds objects whose keys are StageConfig's fields. A field
@@ -199,16 +196,13 @@ def config_from_file(path, task, num_classes, in_features=0, seed=0) -> ModelCon
         **{"num_classes": num_classes, **raw, "stages": tuple(stages)},
         task=task,
         seed=seed,
-        in_features=in_features,
     )
 
 
-def _resolve_config(name_or_path, task, num_classes, in_features=0, seed=0) -> ModelConfig:
+def _resolve_config(name_or_path, task, num_classes, seed=0) -> ModelConfig:
     if name_or_path in _PRESETS:
-        return preset_config(
-            name_or_path, task=task, num_classes=num_classes, seed=seed, in_features=in_features
-        )
-    return config_from_file(name_or_path, task, num_classes, in_features, seed)
+        return preset_config(name_or_path, task=task, num_classes=num_classes, seed=seed)
+    return config_from_file(name_or_path, task, num_classes, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +210,13 @@ def _resolve_config(name_or_path, task, num_classes, in_features=0, seed=0) -> M
 
 
 def cmd_forward(args) -> int:
-    cloud = _load_cloud(args)
     task = TASK_CLASSIFICATION if args.task == "cls" else TASK_SEGMENTATION
     num_classes = 15 if args.task == "cls" else 50
-    in_features = 0 if cloud.features is None else cloud.features.shape[1]
-    config = _resolve_config(args.config, task, num_classes, in_features, seed=args.seed)
+    # a bad config is reported before the input is read; the input sets in_features
+    config = _resolve_config(args.config, task, num_classes, seed=args.seed)
+    cloud = _load_cloud(args)
+    if cloud.features is not None:
+        config = replace(config, in_features=cloud.features.shape[1])
     if args.weights:
         model = load_weights(args.weights, config)
     else:
@@ -243,9 +239,9 @@ def cmd_forward(args) -> int:
         ]
     )
     if args.out:
-        _write_csv(args.out, header, rows)
+        _emit(_csv(header, rows), args.out)
     else:
-        _emit([""] + [",".join(header)] + [",".join(str(v) for v in r) for r in rows])
+        _emit([""] + _csv(header, rows))
     return EXIT_OK
 
 
@@ -361,14 +357,11 @@ def cmd_bench(args) -> int:
     for kernel, ratio in ratios.items():
         # median-time growth from the shortest to the longest length
         lines.append(f"time_ratio.{kernel}={_fmt(ratio)}")
-    lines.append("")
     header = ("n_points", "kernel", "time_min_s", "time_median_s")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in header))
-    _emit(lines)
+    table = _csv(header, [[_fmt(row[k]) for k in header] for row in rows])
+    _emit(lines + [""] + table)
     if args.out:
-        _write_csv(args.out, header, [[_fmt(r[k]) for k in header] for r in rows])
+        _emit(table, args.out)
     return EXIT_OK
 
 

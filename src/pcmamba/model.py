@@ -88,6 +88,11 @@ class ModelConfig:
         if self.task not in (TASK_CLASSIFICATION, TASK_SEGMENTATION):
             raise ConfigurationError(f"unknown task {self.task!r}")
         _require_count(self, {"n_p": 0, "grid_n": 1, "num_classes": 2, "in_features": 0})
+        # the decoder interpolates from INTERP_K points of every stage
+        for l, stage in enumerate(self.stages):
+            if self.task == TASK_SEGMENTATION and stage.points < INTERP_K:
+                msg = f"stage {l} points must be >= {INTERP_K} for segmentation, got {stage.points}"
+                raise ConfigurationError(msg)
 
     @property
     def order_names(self) -> tuple:

@@ -58,9 +58,13 @@ def _failed(results):
 def test_criterion_01_bijectivity_and_snake():
     t0 = time.perf_counter()
     results = [
-        check(grid_n)
+        result
         for grid_n in (2, 4, 8, 16)
-        for check in (checks.cts_bijective, checks.cts_snake, checks.paper_literal_collides)
+        for result in (
+            checks.orders_bijective("cts_bijective", ser.CTS_NAMES, grid_n),
+            checks.orders_unit_steps("cts_snake", ser.CTS_NAMES, grid_n),
+            checks.paper_literal_collides(grid_n),
+        )
     ]
     elapsed = time.perf_counter() - t0
     detail = _failed(results)
@@ -116,13 +120,17 @@ def test_criterion_07_full_model_permutation_invariance():
     coords = rng.uniform(size=(1024, 3))
     assert len(np.unique(coords, axis=0)) == 1024
     perm = rng.permutation(1024)
-    cls = checks.classification_permutation_invariant(
-        build_model(preset_config("pcm-tiny", num_classes=5, seed=0)), coords, perm
-    )
-    seg = checks.segmentation_permutation_equivariant(
-        build_model(preset_config("pcm-tiny", task=TASK_SEGMENTATION, num_classes=5, seed=0)),
+    cls = checks.permutation_commutes(
+        "classification_permutation_invariant",
+        [build_model(preset_config("pcm-tiny", num_classes=5, seed=0))],
         coords,
-        perm,
+        [perm],
+    )
+    seg = checks.permutation_commutes(
+        "segmentation_permutation_equivariant",
+        [build_model(preset_config("pcm-tiny", task=TASK_SEGMENTATION, num_classes=5, seed=0))],
+        coords,
+        [perm],
     )
     _report(7, "PCM-Tiny permutation invariance (cls) and equivariance (seg), bit-exact",
             cls.passed and seg.passed, f"cls {cls.passed}, seg {seg.passed}")

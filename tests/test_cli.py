@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import small_config
 from pcmamba.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, config_from_file, main
+from pcmamba.errors import ConfigurationError
 from pcmamba.io import generate_shape, write_xyz
 from pcmamba.model import TASK_CLASSIFICATION, TASK_SEGMENTATION, ModelConfig, StageConfig
 from pcmamba.pointset import PointCloud
@@ -241,6 +242,22 @@ def test_forward_malformed_config_exits_2(capsys, tmp_path, config, field):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error:") and field in err
+
+
+def test_segmentation_stage_below_interp_k_points_exits_2(capsys, tmp_path):
+    # the decoder interpolates from 3 points of every stage; a missing input
+    # file would exit 3, so exit 2 shows the config is checked first
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    config["stages"][3]["points"] = 2
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigurationError, match="stage 3 points"):
+        config_from_file(path, TASK_SEGMENTATION, 50)
+    assert config_from_file(path, TASK_CLASSIFICATION, 15).stages[3].points == 2
+    missing = str(tmp_path / "missing.xyz")
+    code = main(["forward", "--config", str(path), "--task", "seg", "--input", missing])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and err.startswith("error: stage 3 points")
 
 
 def test_small_config_file_loads_back(config_file):

@@ -7,6 +7,7 @@ import pcmamba.local
 import pcmamba.model
 import pcmamba.ssm
 from conftest import random_cloud, small_config
+from pcmamba import checks
 from pcmamba.errors import DegenerateLabelsError, InvalidInputError
 from pcmamba.model import (
     TASK_CLASSIFICATION,
@@ -123,6 +124,22 @@ def test_token_counts_follow_schedule():
     enc = encode(model, random_cloud(n=64, seed=7))
     assert [len(f) for f in enc.stage_feats] == [48, 24, 12, 6]
     assert [len(c) for c in enc.stage_coords] == [48, 24, 12, 6]
+
+
+@pytest.mark.parametrize(
+    "task, forward",
+    [(TASK_CLASSIFICATION, "forward_classification"), (TASK_SEGMENTATION, "forward_segmentation")],
+)
+def test_permutation_commutes_fails_on_an_order_dependent_forward(monkeypatch, task, forward):
+    model = build_model(small_config(task=task))
+    rows = random_cloud(n=64, seed=3).coords
+    perm = [np.roll(np.arange(64), 1)]
+    assert checks.permutation_commutes("commutes", [model], rows, perm).passed
+    # the logits shift by the x coordinate of the first input point
+    exact = getattr(checks, forward)
+    monkeypatch.setattr(checks, forward, lambda m, cloud: exact(m, cloud) + cloud.coords[0, 0])
+    res = checks.permutation_commutes("commutes", [model], rows, perm)
+    assert not res.passed and res.measured > 0
 
 
 def test_segmentation_shape_and_equivariance():

@@ -85,9 +85,9 @@ def test_cts_bijective_enumeration_grid2():
 @pytest.mark.parametrize("grid_n", [2, 4, 8, 16])
 @pytest.mark.parametrize("name", ser.CTS_NAMES)
 def test_cts_bijective_and_snake(grid_n, name):
-    # an oracle per name, beside checks.cts_bijective and checks.cts_snake
-    # (the worst of the six names): the codes are exactly 0 .. grid_n**3 - 1,
-    # and consecutive codes are one unit step apart
+    # an oracle per name, beside checks.orders_bijective and
+    # checks.orders_unit_steps (the worst of the six names): the codes are
+    # exactly 0 .. grid_n**3 - 1, and consecutive codes are one unit step apart
     cells = full_grid(grid_n)
     codes = ser.order_codes(cells, grid_n, name)
     np.testing.assert_array_equal(np.sort(codes), np.arange(grid_n**3))
@@ -153,12 +153,27 @@ def test_hilbert_code_matches_bitwise_oracle_on_large_grids(grid_n):
 
 
 def test_hilbert_bijective_unit_steps_grid4():
-    assert checks.hilbert_bijective().passed
-    assert checks.hilbert_unit_steps().passed
+    assert checks.orders_bijective("hilbert_bijective", ("hilbert",), 4).passed
+    assert checks.orders_unit_steps("hilbert_unit_steps", ("hilbert",), 4).passed
 
 
 def test_morton_bijective_grid8():
-    assert checks.morton_bijective(8).passed
+    assert checks.orders_bijective("morton_bijective", ("z",), 8).passed
+
+
+def test_orders_unit_steps_measures_the_morton_jumps():
+    # the z-order is bijective but jumps between octants
+    res = checks.orders_unit_steps("z", ("z",), 4)
+    assert res.name == "z_grid4"
+    assert not res.passed and res.measured > 0
+
+
+def test_orders_bijective_reports_shared_codes(monkeypatch):
+    order_codes = ser.order_codes
+    monkeypatch.setattr(ser, "order_codes", lambda *args: order_codes(*args) // 2)
+    res = checks.orders_bijective("cts_bijective", ser.CTS_NAMES, 4)
+    # 64 cells share 32 codes in pairs
+    assert not res.passed and res.measured == 32
 
 
 def test_grid_limits_enforced():
@@ -221,7 +236,7 @@ def test_locality_full_grid_one_step():
     nc = norm_cloud((cells + 0.5) / 4.0)
     perm = ser.serialize(nc, "xyz", 4)
     metrics = ser.locality_metrics(nc.cloud, [perm], window=6)[0]
-    # consecutive cells are L1-adjacent (checks.cts_snake), so every gap is
+    # consecutive cells are L1-adjacent (checks.orders_unit_steps), so every gap is
     # one grid step
     assert metrics["mean_gap"] == pytest.approx(
         np.linalg.norm(np.diff(nc.cloud.coords[perm], axis=0), axis=1)[0]

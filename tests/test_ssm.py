@@ -245,6 +245,15 @@ def test_reference_kernels_reject_non_finite_parameters(which, bad):
         scan_backward(np.ones(5), *params, np.ones(5))
 
 
+def test_reference_kernels_take_an_empty_sequence():
+    params = np.full(2, 0.5), np.ones(2), np.ones(2)
+    assert scan(np.zeros(0), *params).shape == (0,)
+    assert conv_form(np.zeros(0), *params).shape == (0,)
+    grads = scan_backward(np.zeros(0), *params, np.zeros(0))
+    assert grads["x"].shape == (0,)
+    assert all(grads[k].shape == (0, 2) for k in ("a_bar", "b_bar", "c"))
+
+
 # -------------------------------------------------------------- scan_backward
 
 
