@@ -31,7 +31,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from . import serialize as ser
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -215,8 +215,7 @@ def cmd_forward(args) -> int:
     # a bad config is reported before the input is read; the input sets in_features
     config = _resolve_config(args.config, task, num_classes, seed=args.seed)
     cloud = _load_cloud(args)
-    if cloud.features is not None:
-        config = replace(config, in_features=cloud.features.shape[1])
+    config = replace(config, in_features=cloud.features.shape[1])
     if args.weights:
         model = load_weights(args.weights, config)
     else:
@@ -478,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p):
         p.add_argument("--input", help="xyz file: 'x y z [features...]' per line")
-        p.add_argument("--gen", choices=("sphere", "cube", "torus", "plane"))
+        p.add_argument("--gen", choices=SHAPE_KINDS)
         p.add_argument("--n", type=_positive_int, default=1024, help="points for --gen")
         p.add_argument("--seed", type=int, default=0)
 
@@ -501,11 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument(
-        "--suite",
-        choices=("serialization", "ssm", "gam", "model", "all"),
-        default="all",
-    )
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 

@@ -43,7 +43,7 @@ SHAPE_KINDS = ("sphere", "cube", "torus", "plane")
 
 def read_xyz(path) -> PointCloud:
     """Parse an ASCII xyz file; extra columns become feature channels."""
-    coords, feats = [], []
+    rows = []
     width = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -69,15 +69,14 @@ def read_xyz(path) -> PointCloud:
                         f"({len(values)} vs {width})",
                         line_number=lineno,
                     )
-                coords.append(values[:3])
-                feats.append(values[3:])
+                rows.append(values)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if not coords:
+    if not rows:
         raise InvalidInputError(f"{path}: no points found")
-    features = np.asarray(feats) if feats and len(feats[0]) else None
+    table = np.asarray(rows)
     try:
-        return PointCloud(coords=np.asarray(coords), features=features)
+        return PointCloud(coords=table[:, :3], features=table[:, 3:])
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
@@ -85,11 +84,8 @@ def read_xyz(path) -> PointCloud:
 def write_xyz(cloud: PointCloud, path) -> None:
     """Write a cloud in the xyz text format with 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(cloud.n_points):
-            row = [f"{v:.17g}" for v in cloud.coords[i]]
-            if cloud.features is not None:
-                row += [f"{v:.17g}" for v in cloud.features[i]]
-            fh.write(" ".join(row) + "\n")
+        for row in np.hstack([cloud.coords, cloud.features]):
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def generate_shape(kind: str, n: int, noise_sigma: float = 0.0, seed: int = 0) -> PointCloud:

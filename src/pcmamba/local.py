@@ -64,7 +64,9 @@ def gam_sigma(features: np.ndarray, neighborhood: NeighborhoodIndex, bounds=None
     sigma = sqrt(mean over all centers i, neighbors j, channels of
     (f_j - f_i)^2). The sum of squares is accumulated block by block of
     centers (``bounds``, by default ``_center_blocks`` at the feature
-    width), one dot product per block, so no (M, K, D) array is formed. The
+    width), so no (M, K, D) array is formed. Each block is squared in place
+    and summed by numpy's own pairwise ``np.add.reduce``, not a BLAS dot
+    product, whose rounding would depend on the BLAS thread count. The
     running sum is a numpy float64: under ``np.errstate(over="raise")`` a
     total that overflows raises even when every block's sum is finite.
     """
@@ -76,8 +78,8 @@ def gam_sigma(features: np.ndarray, neighborhood: NeighborhoodIndex, bounds=None
     for start, end in zip(bounds, bounds[1:]):
         dev = features[neighbors[start:end]]
         dev -= features[centers[start:end]][:, None, :]
-        flat = dev.reshape(-1)
-        total += np.dot(flat, flat)
+        dev *= dev
+        total += np.add.reduce(dev, axis=None)
     return np.sqrt(total / (m * k * features.shape[1]))
 
 

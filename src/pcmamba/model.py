@@ -289,15 +289,14 @@ def encode(model: Model, cloud: PointCloud) -> EncodeResult:
         raise InvalidInputError(
             f"need at least {cfg.stages[-1].points} points, got {cloud.n_points}"
         )
-    expected_feats = cfg.in_features
-    have_feats = 0 if cloud.features is None else cloud.features.shape[1]
-    if have_feats != expected_feats:
+    if cloud.features.shape[1] != cfg.in_features:
         raise InvalidInputError(
-            f"model expects {expected_feats} feature channels, cloud has {have_feats}"
+            f"model expects {cfg.in_features} feature channels, "
+            f"cloud has {cloud.features.shape[1]}"
         )
 
-    rows = cloud.coords if cloud.features is None else np.hstack([cloud.coords, cloud.features])
-    rows = rows + 0.0  # -0.0 + 0.0 is 0.0
+    rows = np.hstack([cloud.coords, cloud.features])
+    rows += 0.0  # -0.0 + 0.0 is 0.0
     canon = canonical_tiebreak_order(rows)
     rows = rows[canon]
     full_coords = normalize_unit_cube(PointCloud(rows[:, :3])).cloud.coords

@@ -17,9 +17,11 @@ from .errors import InvalidInputError, NumericRangeError
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with 3-D coordinates plus optional per-point features.
+    """N points with 3-D coordinates and an (N, C) array of per-point features.
 
-    Immutable after construction; all operations on it are pure functions.
+    A cloud without features has C = 0: ``features=None`` is stored as an
+    (N, 0) array. Immutable after construction; all operations on it are
+    pure functions.
     """
 
     coords: np.ndarray
@@ -34,16 +36,16 @@ class PointCloud:
         if not np.isfinite(coords).all():
             raise InvalidInputError("coords contain NaN or Inf")
         object.__setattr__(self, "coords", coords)
-        if self.features is not None:
-            feats = np.ascontiguousarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != coords.shape[0]:
-                raise InvalidInputError(
-                    f"features must have one row per point, got {feats.shape} "
-                    f"for {coords.shape[0]} points"
-                )
-            if not np.isfinite(feats).all():
-                raise InvalidInputError("features contain NaN or Inf")
-            object.__setattr__(self, "features", feats)
+        feats = np.zeros((coords.shape[0], 0)) if self.features is None else self.features
+        feats = np.ascontiguousarray(feats, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[0] != coords.shape[0]:
+            raise InvalidInputError(
+                f"features must have one row per point, got {feats.shape} "
+                f"for {coords.shape[0]} points"
+            )
+        if not np.isfinite(feats).all():
+            raise InvalidInputError("features contain NaN or Inf")
+        object.__setattr__(self, "features", feats)
 
     @property
     def n_points(self) -> int:

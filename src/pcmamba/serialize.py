@@ -1,19 +1,23 @@
 """Flatten 3-D point clouds into 1-D sequences.
 
-An order is named by a string, one of ``ORDER_NAMES``: the six snake
-traversals "xyz" ... "zyx" (axis-permuted variants of a boustrophedon
-pairing code), "z" (Morton), "z-trans" (transposed z-order) and "hilbert"
-(a 3-D Hilbert curve). Every order quantizes the normalized cloud onto a
-grid (``grid_quantize``), gives each cell an integer code
-(``order_codes(cells, grid_n, name, mode)``), and sorts points by code
-with deterministic tie-breaking (``serialize(cloud, name, grid_n, mode)``).
+Every order quantizes the normalized cloud onto a grid (``grid_quantize``),
+gives each cell an integer code (``order_codes(cells, grid_n, name, mode)``,
+the one way to get codes), and sorts points by code with deterministic
+tie-breaking (``serialize(cloud, name, grid_n, mode)``).
 
-The pairing code exists in two modes. ``paper_literal`` maps odd rows with
+An order is one row of ``_ORDERS``: a code ("snake", "morton" or
+"hilbert") and the input axis that plays each of the code's three roles.
+The six snake orders "xyz" ... "zyx" take the axes in name order, "z" and
+"hilbert" take (x, y, z), and "z-trans" takes (y, z, x).
+
+The snake code is the paper's boustrophedon pairing (``code_func``) applied
+twice, in one of two modes. ``paper_literal`` maps odd rows with
 ``(n2 + 1) * width - n1``, which collides at row boundaries (the end of an
 odd row equals the start of the row two above it). ``bijective`` subtracts
 one more (``(n2 + 1) * width - 1 - n1``) and is a true boustrophedon
 bijection; it is the default because collisions would make the ordering
-depend on sort tie-breaking.
+depend on sort tie-breaking. The Morton and Hilbert codes have one form,
+which both modes give.
 """
 
 from __future__ import annotations
@@ -27,21 +31,24 @@ from .sample import knn
 MODE_PAPER = "paper_literal"
 MODE_BIJECTIVE = "bijective"
 
-CTS_NAMES = ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx")
-ORDER_NAMES = CTS_NAMES + ("z", "z-trans", "hilbert")
-
-# which input axis plays code role (c1, c2, c3) for each snake variant
-_CTS_PERMS = {
-    "xyz": (0, 1, 2),
-    "xzy": (0, 2, 1),
-    "yxz": (1, 0, 2),
-    "yzx": (1, 2, 0),
-    "zxy": (2, 0, 1),
-    "zyx": (2, 1, 0),
+# name: (code, the input axis that plays each of the code's roles)
+_ORDERS = {
+    "xyz": ("snake", (0, 1, 2)),
+    "xzy": ("snake", (0, 2, 1)),
+    "yxz": ("snake", (1, 0, 2)),
+    "yzx": ("snake", (1, 2, 0)),
+    "zxy": ("snake", (2, 0, 1)),
+    "zyx": ("snake", (2, 1, 0)),
+    "z": ("morton", (0, 1, 2)),
+    "z-trans": ("morton", (1, 2, 0)),
+    "hilbert": ("hilbert", (0, 1, 2)),
 }
+ORDER_NAMES = tuple(_ORDERS)
+CTS_NAMES = tuple(name for name, (code, _) in _ORDERS.items() if code == "snake")
 
-MAX_GRID_CTS = 1 << 20
-MAX_GRID_INTERLEAVE = 1 << 21
+# largest grid_n per code: snake codes span grid_n**3, and interleaving
+# packs 21 bits per axis into 63
+_GRID_LIMITS = {"snake": 1 << 20, "morton": 1 << 21, "hilbert": 1 << 21}
 
 
 def grid_quantize(cloud: NormalizedCloud, grid_n: int) -> np.ndarray:
@@ -82,26 +89,6 @@ def code_func(n1, n2, width: int, mode: str = MODE_BIJECTIVE):
     return np.where(n2a % 2 == 0, n2a * width + n1a, backward)
 
 
-def _cts_code(cells, grid_n: int, name: str, mode: str):
-    """Snake-order code of each row of an N x 3 array of grid cells.
-
-    The two-index pairing is applied twice: first on the roles (c1, c2)
-    with width grid_n, then on (inner, c3) with width grid_n**2, since the
-    inner code spans [0, grid_n**2). Only that outer width makes the
-    composition injective in bijective mode.
-    """
-    if grid_n > MAX_GRID_CTS:
-        raise ValueError(f"grid_n must be <= {MAX_GRID_CTS} for snake codes")
-    cells = np.asarray(cells, dtype=np.int64)
-    p1, p2, p3 = (cells[:, axis] for axis in _CTS_PERMS[name])
-    inner = code_func(p1, p2, width=grid_n, mode=mode)
-    outer_width = grid_n * grid_n
-    if np.any(inner >= outer_width):
-        # only reachable in paper_literal mode at the collision boundary
-        inner = np.minimum(inner, outer_width - 1)
-    return code_func(inner, p3, width=outer_width, mode=mode)
-
-
 def _bits_for(grid_n: int) -> int:
     """Bits per axis; grid sizes are rounded up to the next power of two."""
     return max(1, int(np.ceil(np.log2(grid_n))))
@@ -117,18 +104,6 @@ def _spread_bits_3(v: np.ndarray) -> np.ndarray:
     v = (v | (v << np.uint64(4))) & np.uint64(0x10C30C30C30C30C3)
     v = (v | (v << np.uint64(2))) & np.uint64(0x1249249249249249)
     return v
-
-
-def morton_code(cells, grid_n: int):
-    """z-order (Morton) code per row of N x 3 cells: bit-interleave, x fastest."""
-    if grid_n > MAX_GRID_INTERLEAVE:
-        raise ValueError(f"grid_n must be <= {MAX_GRID_INTERLEAVE} for interleaving")
-    cells = np.asarray(cells, dtype=np.int64)
-    return (
-        _spread_bits_3(cells[:, 0])
-        | (_spread_bits_3(cells[:, 1]) << np.uint64(1))
-        | (_spread_bits_3(cells[:, 2]) << np.uint64(2))
-    ).astype(np.int64)
 
 
 def _hilbert_transpose(cells: np.ndarray, bits: int) -> np.ndarray:
@@ -159,36 +134,39 @@ def _hilbert_transpose(cells: np.ndarray, bits: int) -> np.ndarray:
     return x
 
 
-def hilbert_code(cells, grid_n: int):
-    """3-D Hilbert curve index of each row of an N x 3 cell array.
-
-    Bijective on the (power-of-two padded) cube, and consecutive indices are
-    always one unit grid step apart. The index is the Morton interleave of
-    the transposed Hilbert axes in reverse order: bit b of axis i lands at
-    bit 3 * b + 2 - i.
-    """
-    if grid_n > MAX_GRID_INTERLEAVE:
-        raise ValueError(f"grid_n must be <= {MAX_GRID_INTERLEAVE} for interleaving")
-    tr = _hilbert_transpose(np.asarray(cells, dtype=np.int64), _bits_for(grid_n))
-    return morton_code(tr[:, ::-1], grid_n)
-
-
 def order_codes(cells, grid_n: int, name: str, mode: str = MODE_BIJECTIVE) -> np.ndarray:
-    """Integer code per row of an N x 3 cell array along the named order.
+    """int64 code per row of an N x 3 cell array along the named order.
 
-    ``mode`` selects the pairing code of the six snake orders; the z-orders
-    and the Hilbert curve have one code each.
+    ``mode`` must be one of the two modes for every order; only the snake
+    code reads it. The snake code pairs roles (c1, c2) with width grid_n,
+    then (inner, c3) with width grid_n**2, since the inner code spans
+    [0, grid_n**2); only that outer width makes the composition injective
+    in bijective mode. The Morton code interleaves the role bits, c1
+    fastest. The Hilbert code is bijective on the (power-of-two padded)
+    cube, and consecutive codes are always one unit grid step apart. It is
+    the Morton interleave of the Skilling-transposed axes in reverse order:
+    bit b of transposed axis i lands at bit 3 * b + 2 - i.
     """
-    if name in _CTS_PERMS:
-        return _cts_code(cells, grid_n, name, mode)
-    if name == "z":
-        return morton_code(cells, grid_n)
-    if name == "z-trans":
-        # z-order with axis roles rotated to (y, z, x)
-        return morton_code(np.asarray(cells)[:, (1, 2, 0)], grid_n)
-    if name == "hilbert":
-        return hilbert_code(cells, grid_n)
-    raise ValueError(f"unknown order name {name!r}; valid names: {', '.join(ORDER_NAMES)}")
+    if name not in _ORDERS:
+        raise ValueError(f"unknown order name {name!r}; valid names: {', '.join(ORDER_NAMES)}")
+    if mode not in (MODE_PAPER, MODE_BIJECTIVE):
+        raise ValueError(f"unknown mode {mode!r}; valid modes: {MODE_PAPER}, {MODE_BIJECTIVE}")
+    code, roles = _ORDERS[name]
+    if grid_n > _GRID_LIMITS[code]:
+        raise ValueError(f"grid_n must be <= {_GRID_LIMITS[code]} for {code} codes")
+    c = np.asarray(cells, dtype=np.int64)[:, roles]
+    if code == "snake":
+        inner = code_func(c[:, 0], c[:, 1], width=grid_n, mode=mode)
+        # only paper_literal mode reaches grid_n**2, at the collision boundary
+        np.minimum(inner, grid_n * grid_n - 1, out=inner)
+        return code_func(inner, c[:, 2], width=grid_n * grid_n, mode=mode)
+    if code == "hilbert":
+        c = _hilbert_transpose(c, _bits_for(grid_n))[:, ::-1]
+    return (
+        _spread_bits_3(c[:, 0])
+        | (_spread_bits_3(c[:, 1]) << np.uint64(1))
+        | (_spread_bits_3(c[:, 2]) << np.uint64(2))
+    ).astype(np.int64)
 
 
 def serialize(

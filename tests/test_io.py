@@ -38,7 +38,7 @@ def test_read_xyz_basic(tmp_path):
     path.write_text("0 0 0\n1 1 1\n")
     cloud = read_xyz(path)
     assert cloud.n_points == 2
-    assert cloud.features is None
+    assert cloud.features.shape == (2, 0)
 
 
 def test_read_xyz_comment_and_features(tmp_path):

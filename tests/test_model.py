@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +104,40 @@ def test_constant_feature_cloud_finite():
     model = build_model(small_config(in_features=2))
     logits = forward_classification(model, cloud)
     assert np.isfinite(logits).all()
+
+
+_LOGITS_DIGEST = """
+import hashlib
+from pcmamba.io import generate_shape
+from pcmamba.model import forward_classification, forward_segmentation, build_model, preset_config
+
+cloud = generate_shape("sphere", 1024, 0.01, seed=3)
+for task, classes, forward in (
+    ("classification", 15, forward_classification),
+    ("part_segmentation", 50, forward_segmentation),
+):
+    model = build_model(preset_config("pcm-tiny", task=task, num_classes=classes))
+    print(task, hashlib.sha256(forward(model, cloud).tobytes()).hexdigest())
+"""
+
+
+def test_logits_do_not_depend_on_blas_thread_count():
+    # OpenBLAS reads its thread count when numpy loads, so each count gets its
+    # own interpreter; pcm-tiny at 1024 points has reductions long enough for
+    # BLAS to split them across threads
+    src = Path(pcmamba.model.__file__).resolve().parents[1]
+    digests = {}
+    for threads in ("1", "2", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOGITS_DIGEST],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout
+    assert digests["1"] == digests["2"] == digests["4"], digests
 
 
 def test_too_few_points_rejected():

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,18 @@ from pcmamba import checks
 from pcmamba import serialize as ser
 from pcmamba.errors import UndefinedMetricError
 from pcmamba.pointset import NormalizedCloud, PointCloud, normalize_unit_cube
+
+
+def _load_oracles():
+    """The benchmark's reference codes, built from their textbook definitions."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
 
 
 def full_grid(n):
@@ -118,12 +132,12 @@ def test_cts_code_within_range_property(cell, name):
 
 
 def test_morton_examples():
-    assert ser.morton_code(np.array([[0, 0, 0]]), 2)[0] == 0
-    assert ser.morton_code(np.array([[1, 1, 1]]), 2)[0] == 7
+    assert ser.order_codes(np.array([[0, 0, 0]]), 2, "z")[0] == 0
+    assert ser.order_codes(np.array([[1, 1, 1]]), 2, "z")[0] == 7
 
 
 def test_hilbert_zero():
-    assert ser.hilbert_code(np.array([[0, 0, 0]]), 4)[0] == 0
+    assert ser.order_codes(np.array([[0, 0, 0]]), 4, "hilbert")[0] == 0
 
 
 def _hilbert_code_bitwise(cells, grid_n):
@@ -142,14 +156,15 @@ def test_hilbert_code_matches_bitwise_oracle_on_full_grids():
     for grid_n in range(2, 65):
         axis = np.arange(grid_n)
         cells = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        codes = ser.hilbert_code(cells, grid_n)
+        codes = ser.order_codes(cells, grid_n, "hilbert")
         assert (codes == _hilbert_code_bitwise(cells, grid_n)).all(), grid_n
 
 
 @pytest.mark.parametrize("grid_n", [1 << 10, 1 << 21])
 def test_hilbert_code_matches_bitwise_oracle_on_large_grids(grid_n):
     cells = np.random.Generator(np.random.PCG64(grid_n)).integers(0, grid_n, size=(5000, 3))
-    assert (ser.hilbert_code(cells, grid_n) == _hilbert_code_bitwise(cells, grid_n)).all()
+    codes = ser.order_codes(cells, grid_n, "hilbert")
+    assert (codes == _hilbert_code_bitwise(cells, grid_n)).all()
 
 
 def test_hilbert_bijective_unit_steps_grid4():
@@ -177,12 +192,34 @@ def test_orders_bijective_reports_shared_codes(monkeypatch):
 
 
 def test_grid_limits_enforced():
-    with pytest.raises(ValueError):
-        ser.order_codes(np.array([[0, 0, 0]]), (1 << 20) + 1, "xyz")
-    with pytest.raises(ValueError):
-        ser.morton_code(np.array([[0, 0, 0]]), (1 << 21) + 1)
-    with pytest.raises(ValueError):
-        ser.hilbert_code(np.array([[0, 0, 0]]), (1 << 21) + 1)
+    # snake codes span grid_n**3 < 2**63; interleaving keeps 21 bits per axis
+    for name in ser.ORDER_NAMES:
+        limit = 1 << 20 if name in ser.CTS_NAMES else 1 << 21
+        corner = np.array([[limit - 1] * 3])
+        assert 0 <= int(ser.order_codes(corner, limit, name)[0]) < limit**3, name
+        with pytest.raises(ValueError, match="grid_n must be <="):
+            ser.order_codes(corner, limit + 1, name)
+
+
+@pytest.mark.parametrize("mode", ["bogus", "paper"])
+@pytest.mark.parametrize("name", ser.ORDER_NAMES)
+def test_unknown_mode_rejected_for_every_order(name, mode):
+    # "paper" is the CLI spelling; the library mode is "paper_literal"
+    with pytest.raises(ValueError, match="unknown mode"):
+        ser.order_codes(np.array([[0, 0, 0]]), 4, name, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([name for name in ser.ORDER_NAMES if name != "hilbert"]),
+    st.one_of(st.integers(1, 40), st.sampled_from([64, 1000, 1 << 20])),
+    st.data(),
+)
+def test_codes_match_the_benchmark_oracle(name, grid_n, data):
+    axis = st.integers(0, grid_n - 1)
+    cells = data.draw(st.lists(st.tuples(axis, axis, axis), min_size=1, max_size=40))
+    codes = ser.order_codes(np.array(cells), grid_n, name)
+    assert codes.tolist() == oracles.order_codes(cells, name, grid_n)
 
 
 # ------------------------------------------------------------------ serialize
